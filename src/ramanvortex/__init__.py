@@ -23,11 +23,11 @@ from .dynamics import (PulseSpec, SequenceSpec, detuning_ladder, evolve_pulse,
 from .imaging import (ImagePlane, PATTERN_KINDS, time_of_flight,
                       absorption_image, analytic_pattern, radial_profile,
                       write_pgm, read_pgm)
-from .diagnostics import (VortexReport, StudyResult, winding_number,
-                          oam_expectation, vortex_report, hole_angle,
-                          fit_circular_slope, phase_correlation_study)
+from .diagnostics import (VortexReport, StudyResult, oam_expectation,
+                          vortex_report, hole_angle, fit_circular_slope,
+                          phase_correlation_study)
 from .config import (SCHEMA_VERSION, SCENARIOS, ExperimentConfig,
-                     load_config, validate_config, normalize, dumps)
+                     load_config, normalize, dumps)
 from .scenarios import ScenarioResult, run_scenario
 
 __all__ = [
@@ -47,11 +47,10 @@ __all__ = [
     "evolve_free", "run_sequence", "calibrate_pi_pulse",
     "ImagePlane", "PATTERN_KINDS", "time_of_flight", "absorption_image",
     "analytic_pattern", "radial_profile", "write_pgm", "read_pgm",
-    "VortexReport", "StudyResult", "winding_number", "oam_expectation",
-    "vortex_report", "hole_angle", "fit_circular_slope",
-    "phase_correlation_study",
+    "VortexReport", "StudyResult", "oam_expectation", "vortex_report",
+    "hole_angle", "fit_circular_slope", "phase_correlation_study",
     "SCHEMA_VERSION", "SCENARIOS", "ExperimentConfig", "load_config",
-    "validate_config", "normalize", "dumps",
+    "normalize", "dumps",
     "ScenarioResult", "run_scenario",
     "__version__",
 ]

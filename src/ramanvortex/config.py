@@ -444,11 +444,6 @@ def load_config(path) -> dict:
         return loads(fh.read())
 
 
-def validate_config(path) -> dict:
-    """Alias of load_config: the normalized echo is the validation result."""
-    return load_config(path)
-
-
 def dumps(config: Mapping) -> str:
     """Serialize a normalized config the way the presets are written."""
     return json.dumps(config, indent=2) + "\n"
@@ -522,9 +517,12 @@ class ExperimentConfig:
                         phase=b["phase_rad"] + extra_phase_rad)
 
     def pulse_spec(self, index: int, grid: Grid2D,
-                   detuning_recoils: float | None = None) -> PulseSpec:
+                   detuning_recoils: float | None = None,
+                   absorb_phase_rad: float = 0.0) -> PulseSpec:
+        """Pulse `index` as configured, optionally at another detuning or
+        with an extra phase on the absorbed beam."""
         p = self.data["pulses"][index]
-        coupling = coupling_map(self.beam_spec(p["absorb"]),
+        coupling = coupling_map(self.beam_spec(p["absorb"], absorb_phase_rad),
                                 self.beam_spec(p["emit"]),
                                 p["rabi_rate_rad_s"],
                                 p["relative_phase_rad"], grid)

@@ -3,9 +3,10 @@
 Winding numbers come from the phase circulation around a sampled loop,
 angular momentum from the spectral operator y p_z - z p_y, and hole angles
 from inverted-intensity circular statistics over an annulus.  The phase
-correlation study ties these together: it reruns the two-pulse experiment
-over a list of beam phases and fits the hole angle against the imprinted
-phase, whose signature is a circular-linear slope of -1.
+correlation study is analysis only: given the hole images of trials the
+scenario runner has already run, one per beam phase, it fits the hole
+angle against the imprinted phase, whose signature is a circular-linear
+slope of -1.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .condensate import TrapSpec, g2d_from_tf_radius, thomas_fermi_profile
-from .dynamics import PulseSpec, SequenceSpec, run_sequence
 from .errors import (AmbiguousHoleError, ContrastError, DensityFloorError,
                      SimulationError)
-from .grid import Grid2D, LadderState, TransverseField, bilinear_sample
-from .imaging import ImagePlane, absorption_image
-from .optics import BeamSpec, coupling_map, phase_readout_pattern
-from .units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M, PhysicalParams,
-                    make_recoil_units)
+from .grid import Grid2D, TransverseField, bilinear_sample
+from .imaging import ImagePlane
 
 DENSITY_FLOOR_FRACTION = 1e-6
 MIN_LOOP_SAMPLES = 64
@@ -33,6 +29,7 @@ MIN_HOLE_CONTRAST = 0.2
 # a pure one-hole fringe gives pi/4 ~ 0.79, opposite holes give ~ 0
 MIN_RESULTANT_FRACTION = 0.35
 IMAG_RESIDUAL_LIMIT = 1e-10
+BRANCH_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,17 +63,6 @@ def _loop_phases(field_values, grid: Grid2D, loop_radius_m: float,
             f"loop sample density {weakest:.3g} is below {floor:.3g} "
             f"(1e-6 of peak); the phase there is not trustworthy")
     return np.angle(samples)
-
-
-def winding_number(fld: TransverseField, loop_radius_m: float,
-                   center_m: tuple[float, float] = (0.0, 0.0),
-                   n_samples: int = 128) -> int:
-    """Net phase circulation, in turns, around the given loop."""
-    phases = _loop_phases(fld.values, fld.grid, loop_radius_m, center_m,
-                          n_samples)
-    steps = np.diff(phases, append=phases[0])
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    return int(round(float(steps.sum()) / (2.0 * math.pi)))
 
 
 def oam_expectation(fld: TransverseField,
@@ -189,6 +175,11 @@ def fit_circular_slope(phases_rad, angles_rad
     Tries integer slopes -2..2 to pick the unwrap branch (largest circular
     resultant), unwraps the angles about that branch and refines by
     ordinary least squares.  Returns (slope, intercept, residuals_rad).
+
+    With n equally spaced phases, branches m and m +/- n have identical
+    resultants (n = 3: slope -1 ties with +2), so branches within
+    BRANCH_TIE_TOLERANCE of the best count as tied and the smallest |m|
+    wins; rounding never picks the branch.
     """
     phases = np.asarray(phases_rad, dtype=float)
     angles = np.asarray(angles_rad, dtype=float)
@@ -197,7 +188,9 @@ def fit_circular_slope(phases_rad, angles_rad
     branches = {}
     for m in range(-2, 3):
         branches[m] = abs(complex(np.mean(np.exp(1j * (angles - m * phases)))))
-    m = max(branches, key=branches.get)
+    best = max(branches.values())
+    m = min((m for m, r in branches.items()
+             if r >= best - BRANCH_TIE_TOLERANCE), key=abs)
     offsets = angles - m * phases
     mean_offset = math.atan2(float(np.mean(np.sin(offsets))),
                              float(np.mean(np.cos(offsets))))
@@ -225,86 +218,27 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
-def _default_study_grid() -> Grid2D:
-    params = PhysicalParams(SODIUM_MASS_KG, SODIUM_WAVELENGTH_M)
-    return Grid2D(256, 256, 160e-6, 160e-6, make_recoil_units(params))
+def phase_correlation_study(phases_rad, hole_images, readout_angles_rad,
+                            annulus_m: tuple[float, float]) -> StudyResult:
+    """Fit each trial's hole angle against the beam phase it imprinted.
 
+    Trial k ran with the extra beam phase phases_rad[k]; hole_images[k] is
+    its in-trap image of orders 0 and 1 together and readout_angles_rad[k]
+    the optical readout of the same beam pair.  The expected response is
+    hole = pi - phase + const: slope -1 against the imprinted phase, which
+    is what the fit quantifies.
 
-def phase_correlation_study(n_trials: int = 18,
-                            phase_list=None,
-                            *,
-                            grid: Grid2D | None = None,
-                            ground: TransverseField | None = None,
-                            trap: TrapSpec | None = None,
-                            g2d_j_m2: float | None = None,
-                            first_peak_rate_rad_s: float = 1.2e5,
-                            second_peak_rate_rad_s: float = 3.5e4,
-                            pulse_duration_s: float = 30e-6,
-                            second_duration_s: float | None = None,
-                            lg_waist_m: float = 85e-6,
-                            gauss_a_waist_m: float = 175e-6,
-                            gauss_b_waist_m: float = 200e-6,
-                            detuning_recoils: float = 4.0,
-                            annulus_m: tuple[float, float] = (5e-6, 12e-6),
-                            n_max: int = 3) -> StudyResult:
-    """Rerun the two-pulse interference experiment once per beam phase.
-
-    Each trial imprints the vortex with an l = 1 beam carrying the trial
-    phase, tops up the stationary component with a second, structureless
-    pulse, and reads the azimuth of the resulting density hole in trap.
-    The expected response is hole = pi - phase: slope -1 against the
-    imprinted phase, which is what the fit quantifies.
-
-    The default annulus stays well inside the cloud: further out the
+    The annulus should stay well inside the cloud: further out the
     anisotropic envelope's second harmonic mixes with the fringe and biases
     the circular mean by several degrees.
     """
-    if phase_list is None:
-        phases = [2.0 * math.pi * k / n_trials for k in range(n_trials)]
-    else:
-        phases = [float(p) for p in phase_list]
-        if len(phases) != n_trials:
-            raise SimulationError(
-                f"phase_list has {len(phases)} entries for {n_trials} trials")
-    if grid is None:
-        grid = _default_study_grid()
-    if trap is None:
-        trap = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
-    if g2d_j_m2 is None:
-        g2d_j_m2 = g2d_from_tf_radius(trap, 30e-6, grid.units)
-    if ground is None:
-        ground = thomas_fermi_profile(trap, g2d_j_m2, grid).field
-    if second_duration_s is None:
-        second_duration_s = pulse_duration_s
-
-    gauss_a = BeamSpec("gaussian", gauss_a_waist_m)
-    gauss_b = BeamSpec("gaussian", gauss_b_waist_m)
-    rows = []
-    for trial, phase in enumerate(phases):
-        lg = BeamSpec("lg", lg_waist_m, winding=1, phase=phase)
-        first = coupling_map(lg, gauss_a, first_peak_rate_rad_s, 0.0, grid)
-        # both pulses emit into the shared counter-propagating beam, so its
-        # phase cancels out of the interference
-        second = coupling_map(gauss_b, gauss_a, second_peak_rate_rad_s, 0.0,
-                              grid)
-        seq = SequenceSpec((
-            PulseSpec(first, detuning_recoils, pulse_duration_s),
-            PulseSpec(second, detuning_recoils, second_duration_s),
-        ))
-        state = LadderState.from_single_order(ground, n_max)
-        final, _ = run_sequence(state, seq, trap, g2d_j_m2)
-        image = absorption_image(final, (0, 1), grid.pitch_y_m)
-        hole = hole_angle(image, annulus_m)
-        # lg already carries the trial phase, so no extra offset here
-        _, readout = phase_readout_pattern(lg, gauss_a, 0.0, grid)
-        rows.append({
-            "trial": trial,
-            "beam_phase_rad": phase,
-            "readout_angle_rad": readout,
-            "hole_angle_rad": hole,
-        })
-
+    rows = tuple(
+        {"trial": trial, "beam_phase_rad": float(phase),
+         "readout_angle_rad": float(readout),
+         "hole_angle_rad": hole_angle(image, annulus_m)}
+        for trial, (phase, image, readout) in enumerate(
+            zip(phases_rad, hole_images, readout_angles_rad, strict=True)))
     slope, intercept, residuals = fit_circular_slope(
         [r["beam_phase_rad"] for r in rows],
         [r["hole_angle_rad"] for r in rows])
-    return StudyResult(tuple(rows), slope, intercept, residuals)
+    return StudyResult(rows, slope, intercept, residuals)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, SimulationError
-from .grid import (Grid2D, LadderState, bilinear_sample, _fft2_stack,
-                   _ifft2_stack)
+from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
+                   _fft2_stack, _ifft2_stack)
 
 IMAGE_SCHEMA_VERSION = 1
 
@@ -373,13 +373,7 @@ def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
         raw = np.frombuffer(f.read(rows * cols * 2), dtype=">u2")
     if raw.size != rows * cols:
         raise SimulationError(f"{path}: truncated pixel data")
-    meta = {}
-    with open(str(path) + ".meta") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
+    meta = read_sidecar(path)
     lo = float(meta.get("min_value", 0.0))
     hi = float(meta.get("max_value", 1.0))
     pixels = lo + raw.reshape(rows, cols).astype(float) / 65535.0 * (hi - lo)

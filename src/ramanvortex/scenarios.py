@@ -12,7 +12,10 @@ Scenario shapes:
   counter_rotating sequence ending in the structureless mixer; the order
                    +1 image is compared against the analytic two-lobe
                    pattern built from its own radial profile.
-  phase_coherence  per-trial hole-angle study plus one imaged trial.
+  phase_coherence  the configured two-pulse sequence once per study phase,
+                   the phase added to the imprinting beam; each trial's
+                   in-trap hole angle is fitted against its phase, and
+                   trial 0's final state gives the images and populations.
   double_charge    vortex diagnostics on order +2 taken before the final
                    pulse (the interference readout), then the readout and
                    the comparison against the two-profile pattern.
@@ -37,12 +40,12 @@ from .condensate import GroundState, TrapSpec
 from .config import ExperimentConfig, dumps
 from .diagnostics import (oam_expectation, phase_correlation_study,
                           vortex_report)
-from .dynamics import PulseSpec, SequenceSpec, evolve_free, run_sequence
+from .dynamics import SequenceSpec, evolve_free, run_sequence
 from .errors import SimulationError
 from .grid import Grid2D, LadderState, save_field
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
                       radial_profile, time_of_flight, write_pgm)
-from .optics import coupling_map, phase_readout_pattern
+from .optics import phase_readout_pattern
 from .units import UnitSystem
 
 logger = logging.getLogger("ramanvortex.scenarios")
@@ -443,64 +446,55 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
 
 def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
     cfg = ctx.cfg
-    pulses = cfg.data["pulses"]
     study = cfg.data["study"]
-    beams = cfg.data["beams"]
-    first, second = pulses
-    phases = study["phases_rad"]
     n_trials = study["n_trials"]
+    phases = study["phases_rad"]
+    if phases is None:
+        phases = [2.0 * math.pi * k / n_trials for k in range(n_trials)]
+    first = cfg.data["pulses"][0]
+    emit = cfg.beam_spec(first["emit"])
+    seq, hold_s = cfg.sequence_spec(ctx.grid)
+    initial = ctx.initial_state()
 
+    # each trial is the configured sequence with the trial phase added to
+    # the imprinting beam; trial 0 is also the imaged trial
     logger.info("running %d phase trials", n_trials)
+    holes, readouts = [], []
+    for trial, phase in enumerate(phases):
+        trial_first = cfg.pulse_spec(0, ctx.grid, absorb_phase_rad=phase)
+        state, log = run_sequence(
+            initial, SequenceSpec((trial_first,) + seq.pulses[1:],
+                                  seq.delays_s),
+            ctx.trap, ctx.g2d_j_m2)
+        if hold_s > 0.0:
+            state = evolve_free(state, hold_s, ctx.trap, ctx.g2d_j_m2)
+        holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
+                                      label="hole_image"))
+        readout_image, readout_angle = phase_readout_pattern(
+            cfg.beam_spec(first["absorb"], extra_phase_rad=phase), emit,
+            0.0, ctx.grid)
+        readouts.append(readout_angle)
+        if trial == 0:
+            imaged, imaged_log, imaged_readout = state, log, readout_image
+
     result = phase_correlation_study(
-        n_trials, phases,
-        grid=ctx.grid, ground=ctx.ground.field, trap=ctx.trap,
-        g2d_j_m2=ctx.g2d_j_m2,
-        first_peak_rate_rad_s=first["rabi_rate_rad_s"],
-        second_peak_rate_rad_s=second["rabi_rate_rad_s"],
-        pulse_duration_s=first["duration_s"],
-        second_duration_s=second["duration_s"],
-        lg_waist_m=beams[first["absorb"]]["waist_m"],
-        gauss_a_waist_m=beams[first["emit"]]["waist_m"],
-        gauss_b_waist_m=beams[second["absorb"]]["waist_m"],
-        detuning_recoils=first["detuning_recoils"],
-        annulus_m=(study["annulus_inner_m"], study["annulus_outer_m"]),
-        n_max=cfg.n_max)
+        phases, holes, readouts,
+        (study["annulus_inner_m"], study["annulus_outer_m"]))
     bundle.add_text("study_table.tsv", result.table_text())
-
-    # image the first trial: the hole and the optical readout that
-    # references its angle
-    trial_phase = result.rows[0]["beam_phase_rad"]
-    lg = cfg.beam_spec(first["absorb"], extra_phase_rad=trial_phase)
-    readout_image, readout_angle = phase_readout_pattern(
-        lg, cfg.beam_spec(first["emit"]), 0.0, ctx.grid)
-    bundle.add_image("readout_pattern.pgm", readout_image)
-
-    state = ctx.initial_state()
+    bundle.add_image("readout_pattern.pgm", imaged_readout)
     bundle.add_image("ground_density.pgm",
-                     ctx.display_image(state, (0,), "ground_density"))
-    seq, _ = cfg.sequence_spec(ctx.grid)
-    trial_coupling = coupling_map(lg, cfg.beam_spec(first["emit"]),
-                                  first["rabi_rate_rad_s"],
-                                  first["relative_phase_rad"], ctx.grid)
-    trial_first = PulseSpec(trial_coupling, first["detuning_recoils"],
-                            first["duration_s"], trap_on=first["trap_on"])
-    state, log = run_sequence(state, SequenceSpec((trial_first,
-                                                   seq.pulses[1]),
-                                                  seq.delays_s),
-                              ctx.trap, ctx.g2d_j_m2)
+                     ctx.display_image(initial, (0,), "ground_density"))
     bundle.add_text("populations.tsv",
-                    _populations_table(log, cfg.n_max))
-    hole = absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
-                            label="hole_image")
-    bundle.add_image("hole_image.pgm", hole)
+                    _populations_table(imaged_log, cfg.n_max))
+    bundle.add_image("hole_image.pgm", holes[0])
 
     summary = _base_summary(ctx)
-    _add_populations(summary, state)
+    _add_populations(summary, imaged)
     summary["n_trials"] = n_trials
     summary["slope"] = result.slope
     summary["intercept_rad"] = result.intercept_rad
     summary["max_residual_rad"] = float(np.max(np.abs(result.residuals_rad)))
-    summary["trial_0_readout_angle_rad"] = readout_angle
+    summary["trial_0_readout_angle_rad"] = readouts[0]
     summary["trial_0_hole_angle_rad"] = result.rows[0]["hole_angle_rad"]
     return summary
 

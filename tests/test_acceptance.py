@@ -21,7 +21,7 @@ import pytest
 
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     relax_ground_state, thomas_fermi_profile)
-from ramanvortex.diagnostics import phase_correlation_study, vortex_report
+from ramanvortex.diagnostics import vortex_report
 from ramanvortex.dynamics import (PulseSpec, SequenceSpec, calibrate_pi_pulse,
                                   detuning_ladder, evolve_free, evolve_pulse,
                                   run_sequence)
@@ -217,17 +217,28 @@ def test_criterion_06_counter_rotating_pattern(tmp_path):
     assert ok, line
 
 
-def test_criterion_07_phase_slope(grid128, relaxed128, trap, g2d):
+def test_criterion_07_phase_slope(tmp_path):
     """The density hole tracks the imprinting beam phase with slope -1."""
-    study = phase_correlation_study(
-        18, None, grid=grid128, ground=relaxed128.field, trap=trap,
-        g2d_j_m2=g2d, first_peak_rate_rad_s=7.3e4,
-        second_peak_rate_rad_s=7.0e4, pulse_duration_s=30e-6,
-        second_duration_s=15e-6)
-    worst = float(np.max(np.abs(study.residuals_rad)))
-    ok = abs(study.slope + 1.0) <= 0.05 and worst < math.radians(5.0)
+    result = run_scenario({
+        "schema_version": 1, "scenario": "phase_coherence",
+        "output_dir": str(tmp_path / "pc"),
+        "grid": {"points_y": 128, "points_z": 128},
+        "condensate": {"profile": "relaxed"},
+        "beams": dict(BEAM_TABLE),
+        "pulses": [
+            {"absorb": "lg", "emit": "g", "rabi_rate_rad_s": 7.3e4,
+             "detuning_recoils": 4.0, "duration_s": 3.0e-5},
+            {"absorb": "wide", "emit": "g", "rabi_rate_rad_s": 7.0e4,
+             "detuning_recoils": 4.0, "duration_s": 1.5e-5},
+        ],
+        "study": {"n_trials": 18},
+        "imaging": {"time_of_flight_s": 0.0},
+    })
+    slope = result.summary["slope"]
+    worst = result.summary["max_residual_rad"]
+    ok = abs(slope + 1.0) <= 0.05 and worst < math.radians(5.0)
     line = report(7, "phase-coherence slope", ok,
-                  f"slope {study.slope:.4f} (want -1.00 +/- 0.05), worst "
+                  f"slope {slope:.4f} (want -1.00 +/- 0.05), worst "
                   f"residual {math.degrees(worst):.2f} deg (limit 5 deg)")
     assert ok, line
 

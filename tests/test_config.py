@@ -7,8 +7,7 @@ import pytest
 
 from ramanvortex.condensate import g2d_from_tf_radius
 from ramanvortex.config import (SCHEMA_VERSION, SCENARIOS, ExperimentConfig,
-                                dumps, load_config, loads, normalize,
-                                validate_config)
+                                dumps, load_config, loads, normalize)
 from ramanvortex.errors import ConfigError
 
 
@@ -181,8 +180,8 @@ class TestNormalize:
     def test_file_validation_round_trip(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(dumps(normalize(minimal())))
-        echo = validate_config(path)
-        assert echo == load_config(path)
+        echo = load_config(path)
+        assert echo == normalize(minimal())
         assert normalize(echo) == echo
 
 

@@ -13,12 +13,13 @@ import pytest
 from ramanvortex.diagnostics import (StudyResult, VortexReport,
                                      fit_circular_slope, hole_angle,
                                      oam_expectation, phase_correlation_study,
-                                     vortex_report, winding_number)
+                                     vortex_report)
 from ramanvortex.errors import (AmbiguousHoleError, ContrastError,
                                 DensityFloorError, SimulationError)
 from ramanvortex.grid import TransverseField
 from ramanvortex.imaging import ImagePlane, analytic_pattern
 from ramanvortex.optics import BeamSpec, mode_field
+from ramanvortex.scenarios import run_scenario
 
 W0 = 30e-6
 
@@ -48,27 +49,27 @@ class TestWindingNumber:
     def test_pure_vortex_windings(self, grid128, l):
         fld = vortex_field(grid128, l)
         for radius in (10e-6, 21e-6, 35e-6):
-            assert winding_number(fld, radius) == l
+            assert vortex_report(fld, radius).winding == l
 
     def test_gaussian_has_no_winding(self, grid128):
         fld = mode_field(BeamSpec("gaussian", W0), grid128)
-        assert winding_number(fld, 15e-6) == 0
+        assert vortex_report(fld, 15e-6).winding == 0
 
     def test_dominant_vortex_wins_in_a_mixture(self, grid128):
         fld = mixed_field(grid128, math.sqrt(0.2), math.sqrt(0.8))
-        assert winding_number(fld, 21e-6) == 1
+        assert vortex_report(fld, 21e-6).winding == 1
 
     def test_core_samples_rejected(self, grid128):
         fld = vortex_field(grid128, 1)
         with pytest.raises(DensityFloorError):
-            winding_number(fld, 1e-9)
+            vortex_report(fld, 1e-9)
 
     def test_sample_floor_enforced(self, grid128):
         fld = vortex_field(grid128, 1)
         with pytest.raises(SimulationError):
-            winding_number(fld, 15e-6, n_samples=32)
+            vortex_report(fld, 15e-6, n_samples=32)
         with pytest.raises(SimulationError):
-            winding_number(fld, -1e-6)
+            vortex_report(fld, -1e-6)
 
     def test_report_fields(self, grid128):
         fld = vortex_field(grid128, 1)
@@ -195,28 +196,62 @@ class TestSlopeFit:
         slope, _, _ = fit_circular_slope(phases, angles)
         assert slope == pytest.approx(2.0, abs=1e-12)
 
+    def test_three_phase_alias_resolves_to_the_smaller_slope(self):
+        # with 3 equally spaced phases, slope -1 and +2 fit equally well
+        phases = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
+        for offset in np.linspace(0.0, 2.0 * math.pi, 600, endpoint=False):
+            angles = (2.0 * math.pi - phases + offset) % (2.0 * math.pi) \
+                - math.pi
+            slope, _, residuals = fit_circular_slope(phases, angles)
+            assert slope == pytest.approx(-1.0, abs=1e-9), offset
+            assert np.max(np.abs(residuals)) < 1e-9
+
     def test_too_few_points(self):
         with pytest.raises(SimulationError):
             fit_circular_slope([0.0], [0.0])
 
 
 class TestPhaseStudy:
-    def test_slope_minus_one_with_small_residuals(self, grid128):
+    def test_fit_of_analytic_holes(self, grid128):
         phases = [2.0 * math.pi * k / 6.0 for k in range(6)]
-        study = phase_correlation_study(6, phases, grid=grid128)
+        images = [ring_pattern(grid128, phase) for phase in phases]
+        study = phase_correlation_study(phases, images, phases,
+                                        (0.7 * W0, 1.3 * W0))
         assert isinstance(study, StudyResult)
-        assert study.slope == pytest.approx(-1.0, abs=0.05)
-        assert np.max(np.abs(study.residuals_rad)) < math.radians(5.0)
-        for row, phase in zip(study.rows, phases):
-            expected = (-phase + math.pi) % (2.0 * math.pi) - math.pi
-            wrapped = (row["readout_angle_rad"] - expected
-                       + math.pi) % (2.0 * math.pi) - math.pi
-            assert abs(wrapped) < 0.1
-        header, *lines = study.table_text().strip().split("\n")
+        assert study.slope == pytest.approx(-1.0, abs=0.01)
+        assert np.max(np.abs(study.residuals_rad)) < math.radians(2.0)
+        assert [row["trial"] for row in study.rows] == list(range(6))
+        assert [row["readout_angle_rad"] for row in study.rows] == phases
+
+    def test_slope_minus_one_with_small_residuals(self, tmp_path):
+        phases = [2.0 * math.pi * k / 6.0 for k in range(6)]
+        result = run_scenario({
+            "schema_version": 1, "scenario": "phase_coherence",
+            "output_dir": str(tmp_path / "study"),
+            "grid": {"points_y": 128, "points_z": 128},
+            "beams": {"lg": {"kind": "lg", "waist_m": 85e-6, "winding": 1},
+                      "a": {"kind": "gaussian", "waist_m": 175e-6},
+                      "b": {"kind": "gaussian", "waist_m": 200e-6}},
+            "pulses": [
+                {"absorb": "lg", "emit": "a", "rabi_rate_rad_s": 1.2e5,
+                 "detuning_recoils": 4.0, "duration_s": 30e-6},
+                {"absorb": "b", "emit": "a", "rabi_rate_rad_s": 3.5e4,
+                 "detuning_recoils": 4.0, "duration_s": 30e-6},
+            ],
+            "study": {"n_trials": 6, "phases_rad": phases,
+                      "annulus_inner_m": 5e-6, "annulus_outer_m": 12e-6},
+            "imaging": {"time_of_flight_s": 0.0},
+        })
+        assert result.summary["slope"] == pytest.approx(-1.0, abs=0.05)
+        assert result.summary["max_residual_rad"] < math.radians(5.0)
+        table = (tmp_path / "study" / "study_table.tsv").read_text()
+        header, *lines = table.strip().split("\n")
         assert header.split("\t") == ["trial", "beam_phase_rad",
                                       "readout_angle_rad", "hole_angle_rad"]
         assert len(lines) == 6
-
-    def test_phase_list_length_checked(self):
-        with pytest.raises(SimulationError):
-            phase_correlation_study(4, [0.0, 1.0])
+        for line, phase in zip(lines, phases):
+            readout = float(line.split("\t")[2])
+            expected = (-phase + math.pi) % (2.0 * math.pi) - math.pi
+            wrapped = (readout - expected
+                       + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(wrapped) < 0.1

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramanvortex import dynamics
 from ramanvortex.config import ExperimentConfig
+from ramanvortex.diagnostics import hole_angle
 from ramanvortex.grid import load_field
 from ramanvortex.imaging import read_pgm
 from ramanvortex.scenarios import run_scenario
@@ -205,3 +207,36 @@ class TestPhaseCoherence:
         lines = table.strip().split("\n")
         assert len(lines) == 5
         assert "hole_angle_rad" in lines[0].split("\t")
+
+    def test_study_row_zero_is_the_imaged_trial(self, tmp_path, monkeypatch):
+        # configured phases and delays must reach every trial, so the
+        # table, the summary and the written image describe one experiment
+        config = small("phase_coherence", [
+            vortex_pulse(delay_after_s=2e-5),
+            {"absorb": "wide", "emit": "g", "rabi_rate_rad_s": 7.0e4,
+             "detuning_recoils": 4.0, "duration_s": 1.5e-5,
+             "relative_phase_rad": 1.1, "delay_after_s": 2e-5},
+        ], tmp_path, study={"n_trials": 3, "phases_rad": [0.4, 2.5, 4.6]},
+            imaging={"time_of_flight_s": 0.0})
+        config["beams"]["lg"] = dict(BEAMS["lg"], phase_rad=0.7)
+        pulses = []
+        evolve_pulse = dynamics.evolve_pulse
+
+        def counting(*args, **kwargs):
+            pulses.append(args[1])
+            return evolve_pulse(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "evolve_pulse", counting)
+        result = run_scenario(config)
+        assert len(pulses) == 2 * 3
+
+        out = Path(result.output_dir)
+        row = (out / "study_table.tsv").read_text().split("\n")[1].split("\t")
+        image, _ = read_pgm(str(out / "hole_image.pgm"))
+        imaged = hole_angle(image, (5e-6, 12e-6))
+        for angle in (float(row[3]), imaged):
+            wrapped = (angle - result.summary["trial_0_hole_angle_rad"]
+                       + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(wrapped) < 1e-3
+        assert float(row[2]) == pytest.approx(
+            result.summary["trial_0_readout_angle_rad"], abs=1e-9)
