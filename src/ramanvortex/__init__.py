@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .units import (PhysicalParams, UnitSystem, make_recoil_units,
                     SODIUM_MASS_KG, SODIUM_WAVELENGTH_M)
-from .grid import (Grid2D, TransverseField, LadderState, spectral_transform,
-                   field_norm, save_field, load_field, set_fft_workers)
+from .grid import (Grid2D, TransverseField, LadderState, save_field,
+                   load_field, set_fft_workers)
 from .errors import (SimulationError, ConfigError, GuardError,
                      TruncationError, StepSizeError, ConvergenceError,
                      GridOverflowError, DensityFloorError, ContrastError,
                      AmbiguousHoleError, CalibrationError)
 from .optics import (MAX_WINDING, BeamSpec, CouplingMap, coupling_map,
-                     uniform_coupling, corkscrew_potential,
-                     phase_readout_pattern)
+                     uniform_coupling, phase_readout_pattern)
 from .condensate import (TrapSpec, GroundState, g2d_from_tf_radius,
                          thomas_fermi_profile, gaussian_profile,
                          relax_ground_state, gpe_energy)
@@ -33,14 +32,14 @@ from .scenarios import ScenarioResult, run_scenario
 __all__ = [
     "PhysicalParams", "UnitSystem", "make_recoil_units",
     "SODIUM_MASS_KG", "SODIUM_WAVELENGTH_M",
-    "Grid2D", "TransverseField", "LadderState", "spectral_transform",
-    "field_norm", "save_field", "load_field", "set_fft_workers",
+    "Grid2D", "TransverseField", "LadderState", "save_field", "load_field",
+    "set_fft_workers",
     "SimulationError", "ConfigError", "GuardError", "TruncationError",
     "StepSizeError", "ConvergenceError", "GridOverflowError",
     "DensityFloorError", "ContrastError", "AmbiguousHoleError",
     "CalibrationError",
     "MAX_WINDING", "BeamSpec", "CouplingMap", "coupling_map",
-    "uniform_coupling", "corkscrew_potential", "phase_readout_pattern",
+    "uniform_coupling", "phase_readout_pattern",
     "TrapSpec", "GroundState", "g2d_from_tf_radius", "thomas_fermi_profile",
     "gaussian_profile", "relax_ground_state", "gpe_energy",
     "PulseSpec", "SequenceSpec", "detuning_ladder", "evolve_pulse",

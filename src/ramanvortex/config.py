@@ -531,20 +531,17 @@ class ExperimentConfig:
         return PulseSpec(coupling, detuning_recoils, p["duration_s"],
                          trap_on=p["trap_on"])
 
-    def sequence_spec(self, grid: Grid2D) -> tuple[SequenceSpec, float]:
-        """Build the pulse sequence; returns (sequence, final hold in s).
+    def sequence_spec(self, grid: Grid2D) -> SequenceSpec:
+        """Build the pulse sequence.
 
-        Inter-pulse delays come from delay_after_s of all but the last
-        pulse; the last pulse's delay_after_s is an in-trap hold before
-        imaging and is returned separately.
+        Each pulse's delay_after_s is free evolution after it, with the trap
+        as its trap_on says; the last pulse's delay is the hold before
+        imaging.  delays_s is empty when every delay is zero.
         """
         pulses = tuple(self.pulse_spec(i, grid)
                        for i in range(len(self.data["pulses"])))
-        delays = tuple(p["delay_after_s"] for p in self.data["pulses"][:-1])
-        hold = self.data["pulses"][-1]["delay_after_s"] if pulses else 0.0
-        if not any(delays):
-            delays = ()
-        return SequenceSpec(pulses, delays), hold
+        delays = tuple(p["delay_after_s"] for p in self.data["pulses"])
+        return SequenceSpec(pulses, delays if any(delays) else ())
 
     def sweep_detunings(self) -> list[float]:
         s = self.data["sweep"]

@@ -11,17 +11,23 @@ minus the photon energy bookkeeping).  dnu is carried as the ratio
 dnu / nu_r so the resonances D_1(4) = D_2(8) = [D_2 - D_1](12) = 0 hold
 exactly in floating point.
 
-Splitting: spectral half-steps for the transverse kinetic term around a
-position-space step in which trap + meanfield (an identity in order space)
-commutes exactly with the per-point ladder matrix.  That matrix, detunings
-included, is exponentiated exactly through one batched symmetric
-eigendecomposition per pulse: the phase of omega is peeled off first by
-conjugation with diag(e^{i n arg omega}), leaving a real tridiagonal.  The
-only splitting error left is the soft kinetic commutator, so the default
-step is set by the 0.1 rad guard on kinetic and potential phase rates, not by
-omega or D_n.  Each pulse references the coupling phase at its own start;
+Splitting (grid._strang_evolve, the one real-time loop, which free
+evolution and the time-of-flight mean-field window share): spectral
+half-steps for the transverse kinetic term around a position-space step in
+which trap + meanfield (an identity in order space) commutes exactly with
+the per-point ladder matrix.  That matrix, detunings included, is
+exponentiated exactly through one batched symmetric eigendecomposition per
+pulse: the phase of omega is peeled off first by conjugation with
+diag(e^{i n arg omega}), leaving a real tridiagonal.  The only splitting
+error left is the soft kinetic commutator, so the default step is set by
+the 0.1 rad guard on kinetic and potential phase rates, not by omega or
+D_n.  Each pulse references the coupling phase at its own start;
 only phase differences between pulses are physical, matching how the beams
 are actually used.
+
+Free evolution (the delay after a pulse, the last one being the hold before
+imaging) is the same loop without the ladder, followed by the exact axial
+phase e^{-4i n^2 t} per order.
 """
 
 from __future__ import annotations
@@ -34,11 +40,10 @@ import numpy as np
 from .condensate import GroundState, TrapSpec
 from .errors import (CalibrationError, SimulationError, StepSizeError,
                      TruncationError)
-from .grid import LadderState, TransverseField, _fft2_stack, _ifft2_stack
+from .grid import (MAX_PHASE_PER_STEP, LadderState, TransverseField,
+                   _axial_phase, _strang_evolve)
 from .optics import CouplingMap
 
-# Phase advance allowed per substep for the split-residual rates.
-MAX_PHASE_PER_STEP = 0.1
 # Hard cap on the internal step, keeping the dt-halving headroom.
 MAX_INTERNAL_STEP = 0.03
 # Edge-of-ladder population above which truncation is unsound.
@@ -69,7 +74,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Ordered pulses with optional free-evolution delays between them."""
+    """Ordered pulses, each optionally followed by a free-evolution delay.
+
+    delays_s is empty (no delays) or holds one delay per pulse: delays_s[i]
+    runs after pulses[i], with the trap as that pulse's trap_on says, and
+    the last pulse's delay is the hold before imaging.  Slicing pulses and
+    delays_s at the same index splits a sequence into two that run one
+    after the other.
+    """
 
     pulses: tuple[PulseSpec, ...]
     delays_s: tuple[float, ...] = ()
@@ -77,10 +89,10 @@ class SequenceSpec:
     def __post_init__(self):
         pulses = tuple(self.pulses)
         delays = tuple(self.delays_s)
-        if delays and len(delays) != len(pulses) - 1:
+        if delays and len(delays) != len(pulses):
             raise SimulationError(
-                f"{len(pulses)} pulses take {len(pulses) - 1} inter-pulse "
-                f"delays, got {len(delays)}")
+                f"{len(pulses)} pulses take {len(pulses)} delays, one after "
+                f"each pulse, got {len(delays)}")
         if any(d < 0.0 for d in delays):
             raise SimulationError("delays must be nonnegative")
         object.__setattr__(self, "pulses", pulses)
@@ -95,15 +107,22 @@ def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
     return 4.0 * n * n - n * delta_nu_recoils
 
 
-def _position_rate_bound(potential, g: float, density) -> float:
-    rho_max = float(density.max())
-    if potential is None:
-        return g * rho_max
-    return float(potential.max()) + g * rho_max
+def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
+                   dt_s) -> tuple[int, float]:
+    """Step count and internal dt honoring the phase guard and the cap.
 
-
-def _resolve_steps(t_total: float, rate: float, dt_s, units) -> tuple[int, float]:
-    """Step count and internal dt honoring the phase guard and the cap."""
+    The guarded rate is the larger of the kinetic rate at the grid's
+    Nyquist corner and the trap plus mean-field rate at entry.
+    """
+    grid = state.grid
+    units = grid.units
+    v_max = 0.0 if potential is None else float(potential.max())
+    rho_max = float(state.total_density().max())
+    # NaN-propagating order: max(nan, x) is nan, max(x, nan) is x
+    rate = max(v_max + g * rho_max, float(grid.mesh_ksq.max()))
+    if not math.isfinite(rate):
+        raise SimulationError(
+            f"split phase rate is {rate}: the state holds NaN or inf")
     if dt_s is None:
         dt_limit = min(MAX_INTERNAL_STEP, MAX_PHASE_PER_STEP / max(rate, 1e-12))
         n_steps = max(1, math.ceil(t_total / dt_limit))
@@ -150,7 +169,8 @@ class _LadderPropagator:
 
 
 def _check_norm(before: float, after: float):
-    if abs(after - before) > NORM_DRIFT_LIMIT * max(before, 1.0):
+    # written as not (x <= limit) so that NaN trips every guard
+    if not abs(after - before) <= NORM_DRIFT_LIMIT * max(before, 1.0):
         raise SimulationError(
             f"norm drifted by {after - before:.3g} during a pulse")
 
@@ -158,7 +178,7 @@ def _check_norm(before: float, after: float):
 def _check_edges(state: LadderState):
     for n in (-state.n_max, state.n_max):
         pop = state.population(n)
-        if pop > EDGE_POPULATION_LIMIT:
+        if not pop <= EDGE_POPULATION_LIMIT:
             raise TruncationError(
                 f"population {pop:.3g} reached ladder edge n = {n}; raise "
                 f"n_max above {state.n_max}")
@@ -175,32 +195,12 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
     potential = trap.potential_internal(grid) if pulse.trap_on else None
     t_total = units.time_to_internal(pulse.duration_s)
 
-    values = state.values.copy()
-    norm_before = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    rate = max(float(grid.mesh_ksq.max()),
-               _position_rate_bound(potential, g, state.total_density()))
-    n_steps, dt = _resolve_steps(t_total, rate, dt_s, units)
-
+    norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
+    n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
     deltas = detuning_ladder(pulse.delta_nu_recoils, state.n_max)
     ladder = _LadderPropagator(pulse.coupling, deltas, state.n_max, dt, units)
-
-    dim = 2 * state.n_max + 1
-    flat_shape = (dim, grid.n_z * grid.n_y)
-    half_kin = np.exp(-0.5j * dt * grid.mesh_ksq)
-    full_kin = half_kin * half_kin
-    v_flat = None if potential is None else potential.ravel()
-
-    spec = _fft2_stack(values) * half_kin
-    values = _ifft2_stack(spec)
-    for step in range(n_steps):
-        flat = values.reshape(flat_shape)
-        rho = np.sum(np.abs(flat) ** 2, axis=0)
-        scalar = g * rho if v_flat is None else v_flat + g * rho
-        flat = ladder.apply(flat) * np.exp(-1j * dt * scalar)
-        values = flat.reshape((dim,) + grid.shape)
-        spec = _fft2_stack(values)
-        spec *= full_kin if step < n_steps - 1 else half_kin
-        values = _ifft2_stack(spec)
+    values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
+                            g, potential, ladder)
 
     out = LadderState(grid, state.n_max, values)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
@@ -219,39 +219,24 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
     if duration_s < 0.0:
         raise SimulationError("duration must be nonnegative")
     grid = state.grid
-    units = grid.units
-    g = units.coupling2d_to_internal(g2d_j_m2)
+    g = grid.units.coupling2d_to_internal(g2d_j_m2)
     potential = trap.potential_internal(grid) if trap is not None else None
-    t_total = units.time_to_internal(duration_s)
-    values = state.values.copy()
+    t_total = grid.units.time_to_internal(duration_s)
     if t_total == 0.0:
-        return LadderState(grid, state.n_max, values)
+        return LadderState(grid, state.n_max, state.values.copy())
 
-    rate = max(float(grid.mesh_ksq.max()),
-               _position_rate_bound(potential, g, state.total_density()))
-    n_steps, dt = _resolve_steps(t_total, rate, dt_s, units)
-    half_kin = np.exp(-0.5j * dt * grid.mesh_ksq)
-    full_kin = half_kin * half_kin
-
-    spec = _fft2_stack(values) * half_kin
-    values = _ifft2_stack(spec)
-    for step in range(n_steps):
-        rho = np.sum(np.abs(values) ** 2, axis=0)
-        scalar = g * rho if potential is None else potential + g * rho
-        values *= np.exp(-1j * dt * scalar)[None, :, :]
-        spec = _fft2_stack(values)
-        spec *= full_kin if step < n_steps - 1 else half_kin
-        values = _ifft2_stack(spec)
-
-    n_orders = np.arange(-state.n_max, state.n_max + 1)
-    values *= np.exp(-4.0j * t_total * n_orders**2)[:, None, None]
+    n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
+    values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
+                            g, potential)
+    _axial_phase(values, t_total)
     return LadderState(grid, state.n_max, values)
 
 
 def run_sequence(state: LadderState, seq: SequenceSpec, trap: TrapSpec,
                  g2d_j_m2: float, dt_s: float | None = None
                  ) -> tuple[LadderState, list[dict]]:
-    """Apply the pulses in order; log populations after each pulse.
+    """Apply the pulses in order, each followed by its delay; log
+    populations after each pulse, before its delay.
 
     Log records carry pulse index, delta_nu_recoils, duration_s and the
     per-order populations.
@@ -266,7 +251,7 @@ def run_sequence(state: LadderState, seq: SequenceSpec, trap: TrapSpec,
             "duration_s": pulse.duration_s,
             "populations": {n: current.population(n) for n in current.orders},
         })
-        if seq.delays_s and i < len(seq.pulses) - 1 and seq.delays_s[i] > 0.0:
+        if seq.delays_s and seq.delays_s[i] > 0.0:
             current = evolve_free(current, seq.delays_s[i],
                                   trap if pulse.trap_on else None,
                                   g2d_j_m2, dt_s)

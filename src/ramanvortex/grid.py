@@ -1,4 +1,5 @@
-"""Transverse grid, complex fields, momentum-ladder states and field I/O.
+"""Transverse grid, complex fields, momentum-ladder states, field I/O and
+the real-time split-step loop shared by pulses, delays and time of flight.
 
 Arrays are indexed [iz, iy]: axis 0 runs along z, axis 1 along y, so a
 C-order flattening walks y fastest.  Grid axes are FFT-periodic (cell
@@ -216,35 +217,6 @@ class LadderState:
                      * self.grid.cell_area)
 
 
-def field_norm(state):
-    """Populations of a state.
-
-    For a TransverseField returns the scalar norm integral.  For a
-    LadderState returns (per-order dict, total).
-    """
-    if isinstance(state, TransverseField):
-        return state.norm()
-    if isinstance(state, LadderState):
-        pops = {n: state.population(n) for n in state.orders}
-        return pops, float(sum(pops.values()))
-    raise SimulationError(f"field_norm expects a field or ladder state, got {type(state)!r}")
-
-
-def spectral_transform(field: TransverseField, direction: str) -> TransverseField:
-    """Unitary 2D DFT of a field ('forward') or its inverse ('inverse').
-
-    Uses the orthonormal normalization, so sum |psi|^2 is preserved to
-    rounding and forward followed by inverse is the identity.
-    """
-    if direction == "forward":
-        out = scipy.fft.fft2(field.values, norm="ortho", workers=_FFT_WORKERS)
-    elif direction == "inverse":
-        out = scipy.fft.ifft2(field.values, norm="ortho", workers=_FFT_WORKERS)
-    else:
-        raise SimulationError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return TransverseField(field.grid, out)
-
-
 def _fft2_stack(values: np.ndarray) -> np.ndarray:
     # Orthonormal so Parseval sums need no grid-size factors.
     return scipy.fft.fft2(values, axes=(-2, -1), norm="ortho",
@@ -254,6 +226,58 @@ def _fft2_stack(values: np.ndarray) -> np.ndarray:
 def _ifft2_stack(values: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft2(values, axes=(-2, -1), norm="ortho",
                            workers=_FFT_WORKERS)
+
+
+# Phase advance allowed per split step at the stiffest split-off rate.
+MAX_PHASE_PER_STEP = 0.1
+
+
+def _kinetic(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply a stack by a kinetic phase in momentum space.  The spectrum
+    is freed on return, so a loop never holds it next to the stack."""
+    spec = _fft2_stack(values)
+    spec *= phase
+    return _ifft2_stack(spec)
+
+
+def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
+                   n_steps: int, g: float, potential: np.ndarray | None = None,
+                   ladder=None) -> np.ndarray:
+    """n_steps real-time Strang steps of a (dim, n_z, n_y) order stack.
+
+    Each step is a kinetic half-step e^{-i dt ksq / 2}, the position-space
+    step, and another kinetic half-step; the half-steps between steps are
+    merged.  The position-space step applies ladder (an object whose
+    apply maps a (dim, n_points) stack to its exact per-point ladder
+    exponential), when given, and then the phase of trap plus mean field,
+    which is the identity in order space and so commutes with it.
+
+    values itself is never written: the first half-step makes the working
+    stack.  A caller that builds values only for this call passes it as a
+    temporary, so it is freed after that half-step instead of being held
+    through the loop.
+    """
+    half_kin = np.exp(-0.5j * dt * ksq)
+    full_kin = half_kin * half_kin
+    values = _kinetic(values, half_kin)
+    for step in range(n_steps):
+        rho = np.sum(np.abs(values) ** 2, axis=0)
+        scalar = g * rho if potential is None else potential + g * rho
+        if ladder is not None:
+            values = ladder.apply(
+                values.reshape(len(values), -1)).reshape(values.shape)
+        values *= np.exp(-1j * dt * scalar)
+        values = _kinetic(values, full_kin if step < n_steps - 1 else half_kin)
+    return values
+
+
+def _axial_phase(values: np.ndarray, t: float) -> None:
+    """Multiply order n of a (2 n_max + 1, n_z, n_y) stack by e^{-4i n^2 t}
+    in place: the axial kinetic energy 4 n^2 of 2 n photon recoils, global
+    over the plane and so applied exactly."""
+    n_max = len(values) // 2
+    n = np.arange(-n_max, n_max + 1)
+    values *= np.exp(-4.0j * t * n**2)[:, None, None]
 
 
 def bilinear_sample(values: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray,

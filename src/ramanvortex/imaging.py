@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridOverflowError, SimulationError
-from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
-                   _fft2_stack, _ifft2_stack)
+from .grid import (MAX_PHASE_PER_STEP, Grid2D, LadderState,
+                   bilinear_sample, read_sidecar, _axial_phase, _kinetic,
+                   _strang_evolve)
 
 IMAGE_SCHEMA_VERSION = 1
 
@@ -101,12 +102,12 @@ def _boundary_mass_fraction(state: LadderState) -> float:
 
 
 def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
-                   g2d_j_m2: float, pad_factor: float = 2.0,
-                   max_phase: float = 0.1) -> LadderState:
+                   g2d_j_m2: float, pad_factor: float = 2.0) -> LadderState:
     """Free expansion for t_s seconds on a zero-padded grid.
 
     The trap is off throughout.  For the first meanfield_window_s the
-    interaction term is kept (split-step), afterwards propagation is exact
+    interaction term is kept (the split-step loop pulses use, with steps
+    sized by MAX_PHASE_PER_STEP alone), afterwards propagation is exact
     and linear in one spectral multiplication.  Returns a new state on the
     padded grid with per-order axial displacements recorded for the
     separation bookkeeping.
@@ -129,42 +130,32 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
 
     if t_window > 0.0:
         pops = np.sum(np.abs(values) ** 2, axis=(1, 2)) * padded.cell_area
-        active = np.flatnonzero(pops > _PRUNE_POPULATION)
-        work = values[active]
+        # not (x <= floor) keeps a NaN order, so the rate check below sees it
+        active = np.flatnonzero(~(pops <= _PRUNE_POPULATION))
         ksq = padded.mesh_ksq
-        rho = np.sum(np.abs(work) ** 2, axis=0)
-        rate = float(ksq.max() + g * rho.max())
-        n_steps = max(1, math.ceil(t_window * rate / max_phase))
+        rho_max = np.sum(np.abs(values[active]) ** 2, axis=0).max()
+        rate = float(ksq.max() + g * rho_max)
+        if not math.isfinite(rate):
+            raise SimulationError(
+                f"mean-field phase rate is {rate}: the state holds NaN or inf")
+        n_steps = max(1, math.ceil(t_window * rate / MAX_PHASE_PER_STEP))
         dt = t_window / n_steps
-        half_kin = np.exp(-0.5j * dt * ksq)
-        full_kin = half_kin * half_kin
-        work = _ifft2_stack(_fft2_stack(work) * half_kin)
-        for step in range(n_steps):
-            rho = np.sum(np.abs(work) ** 2, axis=0)
-            work *= np.exp(-1j * dt * g * rho)
-            spec = _fft2_stack(work)
-            spec *= full_kin if step < n_steps - 1 else half_kin
-            work = _ifft2_stack(spec)
-        values[active] = work
+        values[active] = _strang_evolve(values[active], ksq, dt, n_steps, g)
 
     remainder = t - t_window
     if remainder > 0.0:
-        spec = _fft2_stack(values)
-        spec *= np.exp(-1j * remainder * padded.mesh_ksq)
-        values = _ifft2_stack(spec)
+        values = _kinetic(values, np.exp(-1j * remainder * padded.mesh_ksq))
 
-    # Axial kinetic phase 4 n^2 E_r per order, global over the plane.
-    n_axis = np.arange(-state.n_max, state.n_max + 1)
-    values *= np.exp(-4.0j * t * n_axis**2)[:, None, None]
+    _axial_phase(values, t)
 
     # Axial displacement per order: 2 hbar k / M = 4 length units per time
     # unit in recoil units.
     v_si = 4.0 * units.length_m / units.time_s
-    shifts = {int(n): float(n * v_si * t_s) for n in n_axis}
+    shifts = {n: float(n * v_si * t_s) for n in state.orders}
 
     out = LadderState(padded, state.n_max, values, axial_shift_m=shifts)
     frac = _boundary_mass_fraction(out)
-    if frac > _BOUNDARY_MASS_LIMIT:
+    if not frac <= _BOUNDARY_MASS_LIMIT:
         raise GridOverflowError(
             f"expanded cloud reached the padded boundary "
             f"(boundary mass fraction {frac:.2e}); rerun with pad_factor "

@@ -142,33 +142,6 @@ def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D,
                        peak_rate_rad_s)
 
 
-def corkscrew_potential(beam_lg: BeamSpec, beam_g: BeamSpec, delta_nu_hz: float,
-                        t_s: float, x_samples: int, grid: Grid2D) -> np.ndarray:
-    """Interference intensity of the counter-propagating pair, for looking at.
-
-    Returns I(x, z, y) over one axial lattice period (half the optical
-    wavelength), shape (x_samples, n_z, n_y):
-
-        I = |u_lg e^{i chi} + u_g e^{-i chi}|^2,  chi = k x - pi dnu t.
-
-    The ridge of maximal intensity is a helix: its azimuth advances 2 pi
-    per lattice period per unit winding, and a beam frequency difference
-    makes the whole structure crawl along x at dnu * lambda / 2.
-    """
-    if x_samples < 8:
-        raise SimulationError("need at least 8 axial samples per period")
-    u_lg = mode_field(beam_lg, grid).values
-    u_g = mode_field(beam_g, grid).values
-    cross = u_lg * np.conj(u_g)
-    base = np.abs(u_lg) ** 2 + np.abs(u_g) ** 2
-    k = grid.units.wavenumber_per_m
-    x_m = np.arange(x_samples) * (math.pi / k) / x_samples
-    chi = k * x_m - math.pi * delta_nu_hz * t_s
-    frames = base[None, :, :] + 2.0 * np.real(
-        cross[None, :, :] * np.exp(2j * chi)[:, None, None])
-    return frames
-
-
 def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D, radius_m: float,
                      n_samples: int = 512) -> float:
     """Azimuth of the angular intensity maximum on a centered ring.

@@ -40,7 +40,7 @@ from .condensate import GroundState, TrapSpec
 from .config import ExperimentConfig, dumps
 from .diagnostics import (oam_expectation, phase_correlation_study,
                           vortex_report)
-from .dynamics import SequenceSpec, evolve_free, run_sequence
+from .dynamics import SequenceSpec, run_sequence
 from .errors import SimulationError
 from .grid import Grid2D, LadderState, save_field
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
@@ -175,9 +175,9 @@ def _populations_table(log: list[dict], n_max: int) -> str:
     orders = range(-n_max, n_max + 1)
     header = (["pulse", "delta_nu_recoils", "duration_s"]
               + [f"p_{order_tag(n)}" for n in orders])
-    rows = [[entry["pulse"], entry["delta_nu_recoils"], entry["duration_s"]]
+    rows = [[i, entry["delta_nu_recoils"], entry["duration_s"]]
             + [entry["populations"][n] for n in orders]
-            for entry in log]
+            for i, entry in enumerate(log)]
     return _table(header, rows)
 
 
@@ -316,14 +316,12 @@ def _base_summary(ctx: _Context) -> dict:
 
 def _run_pulse_pipeline(ctx: _Context, bundle: _Bundle
                         ) -> tuple[LadderState, list[dict]]:
-    seq, hold_s = ctx.cfg.sequence_spec(ctx.grid)
+    seq = ctx.cfg.sequence_spec(ctx.grid)
     state = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
     logger.info("running %d pulse(s)", len(seq.pulses))
     state, log = run_sequence(state, seq, ctx.trap, ctx.g2d_j_m2)
-    if hold_s > 0.0:
-        state = evolve_free(state, hold_s, ctx.trap, ctx.g2d_j_m2)
     bundle.add_text("populations.tsv",
                     _populations_table(log, ctx.cfg.n_max))
     return state, log
@@ -366,19 +364,15 @@ def _run_counter_rotating(ctx: _Context, bundle: _Bundle) -> dict:
 
 
 def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
-    seq, hold_s = ctx.cfg.sequence_spec(ctx.grid)
-    generation = SequenceSpec(seq.pulses[:-1], seq.delays_s[:-1]
-                              if seq.delays_s else ())
-    pre_readout_delay_s = seq.delays_s[-1] if seq.delays_s else 0.0
-    readout = seq.pulses[-1]
+    seq = ctx.cfg.sequence_spec(ctx.grid)
+    last = len(seq.pulses) - 1
+    generation = SequenceSpec(seq.pulses[:last], seq.delays_s[:last])
+    readout = SequenceSpec(seq.pulses[last:], seq.delays_s[last:])
     state = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
     logger.info("running %d generation pulse(s)", len(generation.pulses))
     state, log = run_sequence(state, generation, ctx.trap, ctx.g2d_j_m2)
-    if pre_readout_delay_s > 0.0:
-        state = evolve_free(state, pre_readout_delay_s, ctx.trap,
-                            ctx.g2d_j_m2)
 
     summary = _base_summary(ctx)
     _add_vortex_report(summary, ctx, state, 2)
@@ -392,10 +386,7 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     before = _tof_images(bundle, ctx, state, prefix="tof_before_readout_")
 
     logger.info("running the interference readout pulse")
-    final, read_log = run_sequence(state, SequenceSpec((readout,)),
-                                   ctx.trap, ctx.g2d_j_m2)
-    if hold_s > 0.0:
-        final = evolve_free(final, hold_s, ctx.trap, ctx.g2d_j_m2)
+    final, read_log = run_sequence(state, readout, ctx.trap, ctx.g2d_j_m2)
     bundle.add_text("populations.tsv",
                     _populations_table(log + read_log, ctx.cfg.n_max))
     _add_populations(summary, final)
@@ -453,7 +444,7 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
         phases = [2.0 * math.pi * k / n_trials for k in range(n_trials)]
     first = cfg.data["pulses"][0]
     emit = cfg.beam_spec(first["emit"])
-    seq, hold_s = cfg.sequence_spec(ctx.grid)
+    seq = cfg.sequence_spec(ctx.grid)
     initial = ctx.initial_state()
 
     # each trial is the configured sequence with the trial phase added to
@@ -466,8 +457,6 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
             initial, SequenceSpec((trial_first,) + seq.pulses[1:],
                                   seq.delays_s),
             ctx.trap, ctx.g2d_j_m2)
-        if hold_s > 0.0:
-            state = evolve_free(state, hold_s, ctx.trap, ctx.g2d_j_m2)
         holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
                                       label="hole_image"))
         readout_image, readout_angle = phase_readout_pattern(
@@ -501,7 +490,7 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
 
 def _run_resonance_sweep(ctx: _Context, bundle: _Bundle) -> dict:
     cfg = ctx.cfg
-    seq, _ = cfg.sequence_spec(ctx.grid)
+    seq = cfg.sequence_spec(ctx.grid)
     detunings = cfg.sweep_detunings()
     initial = ctx.initial_state()
     bundle.add_image("ground_density.pgm",

@@ -27,23 +27,10 @@ class PhysicalParams:
     Fields:
         atomic_mass_kg: atomic mass M.
         wavelength_m: optical wavelength setting the recoil scale.
-        atom_number: total atom count; bookkeeping only, the simulated
-            fields are unit-norm fractions.
-        s_wave_coupling_j_m2: effective 2D interaction coupling g2d with
-            units of energy times area (J m^2).
-        trap_frequencies_hz: (nu_x, nu_y, nu_z); x is the beam axis and is
-            not gridded, (y, z) span the simulated transverse plane.
-        raman_detuning_from_line_hz: single-photon detuning from the
-            atomic line; bookkeeping only (absorbed into the calibrated
-            two-photon rate).
     """
 
     atomic_mass_kg: float
     wavelength_m: float
-    atom_number: float = 1.5e6
-    s_wave_coupling_j_m2: float = 0.0
-    trap_frequencies_hz: tuple[float, float, float] = (20.0, 40.0 / math.sqrt(2.0), 40.0)
-    raman_detuning_from_line_hz: float = -1.5e9
 
     def __post_init__(self):
         if self.atomic_mass_kg <= 0.0:

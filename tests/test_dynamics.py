@@ -14,7 +14,8 @@ import pytest
 
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     gaussian_profile, thomas_fermi_profile)
-from ramanvortex.dynamics import (PulseSpec, SequenceSpec, calibrate_pi_pulse,
+from ramanvortex.dynamics import (PulseSpec, SequenceSpec, _check_edges,
+                                  _check_norm, calibrate_pi_pulse,
                                   detuning_ladder, evolve_free, evolve_pulse,
                                   run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
@@ -255,7 +256,7 @@ class TestSequence:
         p1 = PulseSpec(lg_g_coupling(grid64, 4.0e4), 4.0, 20e-6)
         p2 = PulseSpec(uniform_coupling(2.0e4, grid64), 0.0, 20e-6)
         with_delay, _ = run_sequence(
-            state, SequenceSpec((p1, p2), delays_s=(40e-6,)), trap, g2d)
+            state, SequenceSpec((p1, p2), delays_s=(40e-6, 0.0)), trap, g2d)
         manual = evolve_pulse(
             evolve_free(evolve_pulse(state, p1, trap, g2d), 40e-6, trap, g2d),
             p2, trap, g2d)
@@ -264,11 +265,30 @@ class TestSequence:
     def test_sequence_validation(self, grid64):
         pulse = PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 1e-5)
         with pytest.raises(SimulationError):
-            SequenceSpec((pulse, pulse), delays_s=(1e-5, 1e-5))
+            SequenceSpec((pulse, pulse), delays_s=(1e-5,))
         with pytest.raises(SimulationError):
-            SequenceSpec((pulse, pulse), delays_s=(-1e-5,))
+            SequenceSpec((pulse, pulse), delays_s=(-1e-5, 1e-5))
         with pytest.raises(SimulationError):
             PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_split_sequence_runs_like_the_whole(self, units, trap, g2d, k):
+        grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+        state = packet_state(grid, trap)
+        seq = SequenceSpec((
+            PulseSpec(lg_g_coupling(grid, 4.0e4), 4.0, 10e-6),
+            PulseSpec(uniform_coupling(2.0e4, grid), 0.0, 10e-6,
+                      trap_on=False),
+            PulseSpec(uniform_coupling(2.0e4, grid), 4.0, 10e-6),
+        ), delays_s=(20e-6, 30e-6, 10e-6))
+        whole, whole_log = run_sequence(state, seq, trap, g2d)
+        head, head_log = run_sequence(
+            state, SequenceSpec(seq.pulses[:k], seq.delays_s[:k]), trap, g2d)
+        tail, tail_log = run_sequence(
+            head, SequenceSpec(seq.pulses[k:], seq.delays_s[k:]), trap, g2d)
+        assert np.array_equal(tail.values, whole.values)
+        assert ([rec["populations"] for rec in head_log + tail_log]
+                == [rec["populations"] for rec in whole_log])
 
 
 class TestResonanceSweep:
@@ -316,6 +336,26 @@ class TestCalibration:
 
 
 class TestGuards:
+    @pytest.fixture()
+    def grid32(self, units):
+        return Grid2D(32, 32, 160e-6, 160e-6, units)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pixel_trips_the_pulse(self, grid32, trap, g2d, bad):
+        state = packet_state(grid32, trap)
+        state.values[state.index(0), 16, 16] = bad
+        pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
+        with pytest.raises(SimulationError, match="NaN or inf"):
+            evolve_pulse(state, pulse, trap, g2d)
+
+    def test_nan_trips_norm_and_edge_guards(self, grid32, trap):
+        with pytest.raises(SimulationError):
+            _check_norm(1.0, math.nan)
+        state = packet_state(grid32, trap, n_max=2)
+        state.values[state.index(2), 0, 0] = math.nan
+        with pytest.raises(TruncationError):
+            _check_edges(state)
+
     def test_oversized_explicit_dt_rejected(self, grid128, trap):
         state = packet_state(grid128, trap)
         pulse = PulseSpec(uniform_coupling(1.0e4, grid128), 4.0, 1e-4)

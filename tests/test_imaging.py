@@ -14,7 +14,8 @@ import pytest
 from scipy.constants import hbar
 
 from ramanvortex.errors import GridOverflowError, SimulationError
-from ramanvortex.grid import LadderState, TransverseField, bilinear_sample
+from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
+                             bilinear_sample)
 from ramanvortex.imaging import (ImagePlane, absorption_image,
                                  analytic_pattern, radial_profile, read_pgm,
                                  time_of_flight, write_pgm)
@@ -116,6 +117,18 @@ class TestTimeOfFlight:
         state = gaussian_state(grid128, self.W0_M)
         with pytest.raises(GridOverflowError, match="pad_factor"):
             time_of_flight(state, 0.2, 0.0, 0.0)
+
+    # inf - inf in the spectral step is the expected RuntimeWarning
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("window_s", [0.0, 5e-4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pixel_trips_a_guard(self, units, window_s, bad):
+        grid = Grid2D(32, 32, 80e-6, 80e-6, units)
+        state = gaussian_state(grid, 10e-6)
+        state.values[state.index(0), 16, 16] = bad
+        with pytest.raises(SimulationError):
+            time_of_flight(state, 1e-3, window_s,
+                           units.coupling2d_to_si(1000.0))
 
     def test_negative_time_and_thin_padding_rejected(self, grid64):
         state = gaussian_state(grid64, 10e-6)

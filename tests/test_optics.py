@@ -1,4 +1,4 @@
-"""Beam modes, coupling maps, corkscrew render, optical phase readout."""
+"""Beam modes, coupling maps, optical phase readout."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 
 from ramanvortex.errors import SimulationError
 from ramanvortex.grid import bilinear_sample
-from ramanvortex.optics import (BeamSpec, coupling_map, corkscrew_potential,
-                                mode_field, phase_readout_pattern,
-                                uniform_coupling)
+from ramanvortex.optics import (BeamSpec, coupling_map, mode_field,
+                                phase_readout_pattern, uniform_coupling)
 
 W0 = 30e-6
 
@@ -134,53 +133,6 @@ class TestCouplingMap:
         cmap = uniform_coupling(5.0e3, grid64)
         assert np.all(cmap.omega.values == 5.0e3)
         assert cmap.oam_step == 0
-
-
-class TestCorkscrew:
-    def test_static_when_beams_degenerate_in_frequency(self, grid64):
-        a = corkscrew_potential(lg_beam(), g_beam(), 0.0, 0.0, 16, grid64)
-        b = corkscrew_potential(lg_beam(), g_beam(), 0.0, 3.7e-4, 16, grid64)
-        assert np.array_equal(a, b)
-
-    def test_ridge_azimuth_advances_full_turn_per_period(self, grid64):
-        frames = corkscrew_potential(lg_beam(), g_beam(), 0.0, 0.0, 32, grid64)
-        phi = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        r = (W0 / math.sqrt(2.0)) / grid64.units.length_m
-        ys, zs = r * np.cos(phi), r * np.sin(phi)
-        angles = []
-        for frame in frames:
-            ring = bilinear_sample(frame, grid64.y, grid64.z, ys, zs)
-            # Ridge azimuth via the circular mean, exact for the single
-            # cos(phi + 2 chi) lobe the ring carries.
-            angles.append(np.angle(np.sum(ring * np.exp(1j * phi))))
-        # Advance is 2 pi / n_frames per frame, same sign each step,
-        # totalling one full turn over the lattice period.
-        steps = np.angle(np.exp(1j * np.diff(np.append(angles, angles[0]))))
-        assert np.all(np.abs(np.abs(steps) - 2 * math.pi / 32) < 0.05)
-        assert np.all(steps > 0) or np.all(steps < 0)
-        assert abs(np.sum(steps)) == pytest.approx(2.0 * math.pi, abs=1e-6)
-
-    def test_single_angular_harmonic_on_ring(self, grid64):
-        frames = corkscrew_potential(lg_beam(), g_beam(), 0.0, 0.0, 16, grid64)
-        phi = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        r = (W0 / math.sqrt(2.0)) / grid64.units.length_m
-        ring = bilinear_sample(frames[0], grid64.y, grid64.z,
-                               r * np.cos(phi), r * np.sin(phi))
-        spectrum = np.abs(np.fft.rfft(ring - ring.mean()))
-        assert np.argmax(spectrum) == 1
-        assert spectrum[2:].max() < 0.02 * spectrum[1]
-
-    def test_pattern_translates_at_half_wavelength_per_beat(self, grid64):
-        # chi = k x - pi dnu t, so dnu t = 0.25 shifts the corkscrew by a
-        # quarter lattice period: 4 frames of 16.
-        static = corkscrew_potential(lg_beam(), g_beam(), 0.0, 0.0, 16, grid64)
-        moving = corkscrew_potential(lg_beam(), g_beam(), 2500.0, 1e-4, 16,
-                                     grid64)
-        assert np.allclose(moving, np.roll(static, 4, axis=0), atol=1e-12)
-
-    def test_too_few_samples_rejected(self, grid64):
-        with pytest.raises(SimulationError):
-            corkscrew_potential(lg_beam(), g_beam(), 0.0, 0.0, 4, grid64)
 
 
 class TestPhaseReadout:

@@ -10,7 +10,8 @@ import pytest
 from ramanvortex import dynamics
 from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle
-from ramanvortex.grid import load_field
+from ramanvortex.dynamics import run_sequence
+from ramanvortex.grid import LadderState, load_field
 from ramanvortex.imaging import read_pgm
 from ramanvortex.scenarios import run_scenario
 
@@ -171,16 +172,22 @@ class TestCounterRotating:
         assert "pattern_counter_rotating.pgm" in result.artifacts
 
 
+def double_charge_pulses():
+    return [
+        vortex_pulse(rabi_rate_rad_s=6.9e4),
+        vortex_pulse(rabi_rate_rad_s=6.8e4, detuning_recoils=12.0,
+                     duration_s=7.0e-5),
+        {"absorb": "wide", "emit": "wide", "rabi_rate_rad_s": 1.6e5,
+         "detuning_recoils": 8.0, "duration_s": 4.0e-5},
+    ]
+
+
 class TestDoubleCharge:
     def test_winding_two_and_minima(self, tmp_path):
-        config = small("double_charge", [
-            vortex_pulse(rabi_rate_rad_s=6.9e4),
-            vortex_pulse(rabi_rate_rad_s=6.8e4, detuning_recoils=12.0,
-                         duration_s=7.0e-5),
-            {"absorb": "wide", "emit": "wide", "rabi_rate_rad_s": 1.6e5,
-             "detuning_recoils": 8.0, "duration_s": 4.0e-5},
-        ], tmp_path, grid={"points_y": 64, "points_z": 64, "n_max": 4},
-            imaging={"time_of_flight_s": 3e-3, "meanfield_window_s": 3e-4})
+        config = small("double_charge", double_charge_pulses(), tmp_path,
+                       grid={"points_y": 64, "points_z": 64, "n_max": 4},
+                       imaging={"time_of_flight_s": 3e-3,
+                                "meanfield_window_s": 3e-4})
         result = run_scenario(config)
         assert result.summary["winding_order_p2"] == 2
         assert result.summary["l_z_order_p2"] == pytest.approx(2.0, abs=0.05)
@@ -190,6 +197,30 @@ class TestDoubleCharge:
         p2 = result.summary["population_before_readout_order_p2"]
         p1_after_first = 0.18
         assert 0.6 < p2 / p1_after_first < 0.95
+
+    def test_readout_runs_the_configured_sequence(self, tmp_path):
+        # a trap-off pulse with a delay before the readout: the delay
+        # follows trap_on, and the readout is the sequence's third row
+        pulses = double_charge_pulses()
+        pulses[1].update(trap_on=False, delay_after_s=4e-4)
+        config = small("double_charge", pulses, tmp_path,
+                       grid={"points_y": 64, "points_z": 64, "n_max": 4},
+                       imaging={"time_of_flight_s": 0.0})
+        result = run_scenario(config)
+        table = (Path(result.output_dir) / "populations.tsv").read_text()
+        rows = [line.split("\t") for line in table.strip().split("\n")]
+        assert rows[0][0] == "pulse"
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+
+        cfg = ExperimentConfig.from_mapping(config)
+        grid = cfg.make_grid()
+        initial = LadderState.from_single_order(
+            cfg.ground_state(grid).field, cfg.n_max)
+        final, _ = run_sequence(initial, cfg.sequence_spec(grid), cfg.trap(),
+                                cfg.g2d_j_m2(grid.units))
+        for n in final.orders:
+            assert (result.summary[f"population_order_{_tag(n)}"]
+                    == final.population(n))
 
 
 class TestPhaseCoherence:
