@@ -17,8 +17,8 @@ from .optics import (MAX_WINDING, BeamSpec, CouplingMap, coupling_map,
 from .condensate import (TrapSpec, GroundState, g2d_from_tf_radius,
                          thomas_fermi_profile, gaussian_profile,
                          relax_ground_state, gpe_energy)
-from .dynamics import (PulseSpec, SequenceSpec, detuning_ladder, evolve_pulse,
-                       evolve_free, run_sequence, calibrate_pi_pulse)
+from .dynamics import (PulseSpec, detuning_ladder, evolve_pulse, evolve_free,
+                       run_sequence, calibrate_pi_pulse)
 from .imaging import (ImagePlane, PATTERN_KINDS, time_of_flight,
                       absorption_image, analytic_pattern, radial_profile,
                       write_pgm, read_pgm)
@@ -42,8 +42,8 @@ __all__ = [
     "uniform_coupling", "phase_readout_pattern",
     "TrapSpec", "GroundState", "g2d_from_tf_radius", "thomas_fermi_profile",
     "gaussian_profile", "relax_ground_state", "gpe_energy",
-    "PulseSpec", "SequenceSpec", "detuning_ladder", "evolve_pulse",
-    "evolve_free", "run_sequence", "calibrate_pi_pulse",
+    "PulseSpec", "detuning_ladder", "evolve_pulse", "evolve_free",
+    "run_sequence", "calibrate_pi_pulse",
     "ImagePlane", "PATTERN_KINDS", "time_of_flight", "absorption_image",
     "analytic_pattern", "radial_profile", "write_pgm", "read_pgm",
     "VortexReport", "StudyResult", "oam_expectation", "vortex_report",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .condensate import (GroundState, TrapSpec, g2d_from_tf_radius,
                          gaussian_profile, relax_ground_state,
                          thomas_fermi_profile)
-from .dynamics import PulseSpec, SequenceSpec
+from .dynamics import PulseSpec
 from .errors import ConfigError
 from .grid import Grid2D
 from .optics import MAX_WINDING, BeamSpec, coupling_map
@@ -517,31 +517,23 @@ class ExperimentConfig:
                         phase=b["phase_rad"] + extra_phase_rad)
 
     def pulse_spec(self, index: int, grid: Grid2D,
-                   detuning_recoils: float | None = None,
                    absorb_phase_rad: float = 0.0) -> PulseSpec:
-        """Pulse `index` as configured, optionally at another detuning or
-        with an extra phase on the absorbed beam."""
+        """Pulse `index` as configured, with its delay and trap setting,
+        optionally with an extra phase on the absorbed beam."""
         p = self.data["pulses"][index]
         coupling = coupling_map(self.beam_spec(p["absorb"], absorb_phase_rad),
                                 self.beam_spec(p["emit"]),
                                 p["rabi_rate_rad_s"],
                                 p["relative_phase_rad"], grid)
-        if detuning_recoils is None:
-            detuning_recoils = p["detuning_recoils"]
-        return PulseSpec(coupling, detuning_recoils, p["duration_s"],
-                         trap_on=p["trap_on"])
+        return PulseSpec(coupling, p["detuning_recoils"], p["duration_s"],
+                         trap_on=p["trap_on"],
+                         delay_after_s=p["delay_after_s"])
 
-    def sequence_spec(self, grid: Grid2D) -> SequenceSpec:
-        """Build the pulse sequence.
-
-        Each pulse's delay_after_s is free evolution after it, with the trap
-        as its trap_on says; the last pulse's delay is the hold before
-        imaging.  delays_s is empty when every delay is zero.
-        """
-        pulses = tuple(self.pulse_spec(i, grid)
-                       for i in range(len(self.data["pulses"])))
-        delays = tuple(p["delay_after_s"] for p in self.data["pulses"])
-        return SequenceSpec(pulses, delays if any(delays) else ())
+    def pulses(self, grid: Grid2D) -> tuple[PulseSpec, ...]:
+        """The configured pulse sequence; the last pulse's delay_after_s is
+        the hold before imaging."""
+        return tuple(self.pulse_spec(i, grid)
+                     for i in range(len(self.data["pulses"])))
 
     def sweep_detunings(self) -> list[float]:
         s = self.data["sweep"]

@@ -53,50 +53,26 @@ NORM_DRIFT_LIMIT = 1e-9
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One square pulse: coupling map, beam frequency difference, duration.
+    """One square pulse: coupling map, beam frequency difference, duration,
+    and the free evolution after it.
 
     delta_nu_recoils is dnu / nu_r (signed); resonance values -4, 4, 8, 12
-    and 0 are then exact machine numbers.
+    and 0 are then exact machine numbers.  trap_on holds for the pulse and
+    for its delay_after_s; the last pulse's delay is the hold before
+    imaging.
     """
 
     coupling: CouplingMap
     delta_nu_recoils: float
     duration_s: float
     trap_on: bool = True
+    delay_after_s: float = 0.0
 
     def __post_init__(self):
         if self.duration_s <= 0.0:
             raise SimulationError("pulse duration must be positive")
-
-    def delta_nu_hz(self, units) -> float:
-        return self.delta_nu_recoils * units.recoil_frequency_hz
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Ordered pulses, each optionally followed by a free-evolution delay.
-
-    delays_s is empty (no delays) or holds one delay per pulse: delays_s[i]
-    runs after pulses[i], with the trap as that pulse's trap_on says, and
-    the last pulse's delay is the hold before imaging.  Slicing pulses and
-    delays_s at the same index splits a sequence into two that run one
-    after the other.
-    """
-
-    pulses: tuple[PulseSpec, ...]
-    delays_s: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        pulses = tuple(self.pulses)
-        delays = tuple(self.delays_s)
-        if delays and len(delays) != len(pulses):
-            raise SimulationError(
-                f"{len(pulses)} pulses take {len(pulses)} delays, one after "
-                f"each pulse, got {len(delays)}")
-        if any(d < 0.0 for d in delays):
-            raise SimulationError("delays must be nonnegative")
-        object.__setattr__(self, "pulses", pulses)
-        object.__setattr__(self, "delays_s", delays)
+        if self.delay_after_s < 0.0:
+            raise SimulationError("delay after a pulse must be nonnegative")
 
 
 def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
@@ -232,27 +208,27 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
     return LadderState(grid, state.n_max, values)
 
 
-def run_sequence(state: LadderState, seq: SequenceSpec, trap: TrapSpec,
-                 g2d_j_m2: float, dt_s: float | None = None
+def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
+                 trap: TrapSpec, g2d_j_m2: float, dt_s: float | None = None
                  ) -> tuple[LadderState, list[dict]]:
     """Apply the pulses in order, each followed by its delay; log
     populations after each pulse, before its delay.
 
-    Log records carry pulse index, delta_nu_recoils, duration_s and the
-    per-order populations.
+    One log record per pulse, in order, carrying delta_nu_recoils,
+    duration_s and the per-order populations.  Slicing the pulses splits a
+    sequence into two runs that give the same state and records.
     """
     log = []
     current = state
-    for i, pulse in enumerate(seq.pulses):
+    for pulse in pulses:
         current = evolve_pulse(current, pulse, trap, g2d_j_m2, dt_s)
         log.append({
-            "pulse": i,
             "delta_nu_recoils": pulse.delta_nu_recoils,
             "duration_s": pulse.duration_s,
             "populations": {n: current.population(n) for n in current.orders},
         })
-        if seq.delays_s and seq.delays_s[i] > 0.0:
-            current = evolve_free(current, seq.delays_s[i],
+        if pulse.delay_after_s > 0.0:
+            current = evolve_free(current, pulse.delay_after_s,
                                   trap if pulse.trap_on else None,
                                   g2d_j_m2, dt_s)
     return current, log

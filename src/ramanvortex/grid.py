@@ -10,6 +10,7 @@ in internal recoil-units of length.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,22 +337,27 @@ def save_field(field: TransverseField, path: str, units: UnitSystem,
     pairs[..., 1] = si_values.imag
     with open(path, "wb") as f:
         f.write(pairs.tobytes(order="C"))
-    meta = [
-        f"schema_version={DUMP_SCHEMA_VERSION}",
-        "kind=field_dump",
-        "dtype=float64_le_re_im_pairs",
-        "layout=row_major_y_fastest",
-        "value_units=m^-1",
-        f"n_y={grid.n_y}",
-        f"n_z={grid.n_z}",
-        f"extent_y_m={grid.extent_y_m!r}",
-        f"extent_z_m={grid.extent_z_m!r}",
-        f"length_unit_m={units.length_m!r}",
-        f"component_index={'' if component_index is None else component_index}",
-        f"label={label}",
-    ]
+    write_sidecar(path, {
+        "schema_version": DUMP_SCHEMA_VERSION,
+        "kind": "field_dump",
+        "dtype": "float64_le_re_im_pairs",
+        "layout": "row_major_y_fastest",
+        "value_units": "m^-1",
+        "n_y": grid.n_y,
+        "n_z": grid.n_z,
+        "extent_y_m": grid.extent_y_m,
+        "extent_z_m": grid.extent_z_m,
+        "length_unit_m": units.length_m,
+        "component_index": "" if component_index is None else component_index,
+        "label": label,
+    })
+
+
+def write_sidecar(path: str, meta: Mapping[str, object]) -> None:
+    """Write `path`.meta: one key=value text line per entry, in order.
+    Floats print at repr round-trip precision."""
     with open(_sidecar_path(path), "w") as f:
-        f.write("\n".join(meta) + "\n")
+        f.write("".join(f"{key}={value}\n" for key, value in meta.items()))
 
 
 def read_sidecar(path: str) -> dict[str, str]:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import GridOverflowError, SimulationError
 from .grid import (MAX_PHASE_PER_STEP, Grid2D, LadderState,
-                   bilinear_sample, read_sidecar, _axial_phase, _kinetic,
-                   _strang_evolve)
+                   bilinear_sample, read_sidecar, write_sidecar, _axial_phase,
+                   _kinetic, _strang_evolve)
 
 IMAGE_SCHEMA_VERSION = 1
 
@@ -113,7 +113,7 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     separation bookkeeping.
 
     Raises GridOverflowError if the expanded cloud reaches the padded
-    boundary.
+    boundary, and SimulationError if the state holds NaN or inf.
     """
     if t_s < 0.0:
         raise SimulationError("time of flight must be nonnegative")
@@ -155,6 +155,9 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
 
     out = LadderState(padded, state.n_max, values, axial_shift_m=shifts)
     frac = _boundary_mass_fraction(out)
+    if not math.isfinite(frac):
+        raise SimulationError(
+            f"boundary mass fraction is {frac}: the state holds NaN or inf")
     if not frac <= _BOUNDARY_MASS_LIMIT:
         raise GridOverflowError(
             f"expanded cloud reached the padded boundary "
@@ -334,20 +337,18 @@ def write_pgm(image: ImagePlane, path: str) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))
         f.write(quant.tobytes(order="C"))
-    meta = [
-        f"schema_version={IMAGE_SCHEMA_VERSION}",
-        "kind=absorption_image",
-        f"pitch_m={image.pitch_m!r}",
-        f"rows={rows}",
-        f"cols={cols}",
-        f"min_value={lo!r}",
-        f"max_value={hi!r}",
-        "origin=lower",
-        "normalization=linear_min_max_to_uint16",
-        f"label={image.label}",
-    ]
-    with open(str(path) + ".meta", "w") as f:
-        f.write("\n".join(meta) + "\n")
+    write_sidecar(path, {
+        "schema_version": IMAGE_SCHEMA_VERSION,
+        "kind": "absorption_image",
+        "pitch_m": image.pitch_m,
+        "rows": rows,
+        "cols": cols,
+        "min_value": lo,
+        "max_value": hi,
+        "origin": "lower",
+        "normalization": "linear_min_max_to_uint16",
+        "label": image.label,
+    })
 
 
 def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:

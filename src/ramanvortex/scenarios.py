@@ -32,7 +32,7 @@ import logging
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .condensate import GroundState, TrapSpec
 from .config import ExperimentConfig, dumps
 from .diagnostics import (oam_expectation, phase_correlation_study,
                           vortex_report)
-from .dynamics import SequenceSpec, run_sequence
+from .dynamics import run_sequence
 from .errors import SimulationError
-from .grid import Grid2D, LadderState, save_field
+from .grid import Grid2D, LadderState, save_field, write_sidecar
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
                       radial_profile, time_of_flight, write_pgm)
 from .optics import phase_readout_pattern
@@ -91,6 +91,10 @@ class _Bundle:
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(text)
         self.names.append(name)
+
+    def add_sidecar(self, name: str, meta: Mapping) -> None:
+        write_sidecar(self.path(name), meta)
+        self.names.append(name + ".meta")
 
     def add_image(self, name: str, image: ImagePlane) -> None:
         write_pgm(image, self.path(name))
@@ -316,12 +320,12 @@ def _base_summary(ctx: _Context) -> dict:
 
 def _run_pulse_pipeline(ctx: _Context, bundle: _Bundle
                         ) -> tuple[LadderState, list[dict]]:
-    seq = ctx.cfg.sequence_spec(ctx.grid)
+    pulses = ctx.cfg.pulses(ctx.grid)
     state = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
-    logger.info("running %d pulse(s)", len(seq.pulses))
-    state, log = run_sequence(state, seq, ctx.trap, ctx.g2d_j_m2)
+    logger.info("running %d pulse(s)", len(pulses))
+    state, log = run_sequence(state, pulses, ctx.trap, ctx.g2d_j_m2)
     bundle.add_text("populations.tsv",
                     _populations_table(log, ctx.cfg.n_max))
     return state, log
@@ -364,15 +368,13 @@ def _run_counter_rotating(ctx: _Context, bundle: _Bundle) -> dict:
 
 
 def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
-    seq = ctx.cfg.sequence_spec(ctx.grid)
-    last = len(seq.pulses) - 1
-    generation = SequenceSpec(seq.pulses[:last], seq.delays_s[:last])
-    readout = SequenceSpec(seq.pulses[last:], seq.delays_s[last:])
+    pulses = ctx.cfg.pulses(ctx.grid)
+    last = len(pulses) - 1
     state = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
-    logger.info("running %d generation pulse(s)", len(generation.pulses))
-    state, log = run_sequence(state, generation, ctx.trap, ctx.g2d_j_m2)
+    logger.info("running %d generation pulse(s)", last)
+    state, log = run_sequence(state, pulses[:last], ctx.trap, ctx.g2d_j_m2)
 
     summary = _base_summary(ctx)
     _add_vortex_report(summary, ctx, state, 2)
@@ -386,7 +388,8 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     before = _tof_images(bundle, ctx, state, prefix="tof_before_readout_")
 
     logger.info("running the interference readout pulse")
-    final, read_log = run_sequence(state, readout, ctx.trap, ctx.g2d_j_m2)
+    final, read_log = run_sequence(state, pulses[last:], ctx.trap,
+                                   ctx.g2d_j_m2)
     bundle.add_text("populations.tsv",
                     _populations_table(log + read_log, ctx.cfg.n_max))
     _add_populations(summary, final)
@@ -444,7 +447,7 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
         phases = [2.0 * math.pi * k / n_trials for k in range(n_trials)]
     first = cfg.data["pulses"][0]
     emit = cfg.beam_spec(first["emit"])
-    seq = cfg.sequence_spec(ctx.grid)
+    pulses = cfg.pulses(ctx.grid)
     initial = ctx.initial_state()
 
     # each trial is the configured sequence with the trial phase added to
@@ -453,10 +456,8 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
     holes, readouts = [], []
     for trial, phase in enumerate(phases):
         trial_first = cfg.pulse_spec(0, ctx.grid, absorb_phase_rad=phase)
-        state, log = run_sequence(
-            initial, SequenceSpec((trial_first,) + seq.pulses[1:],
-                                  seq.delays_s),
-            ctx.trap, ctx.g2d_j_m2)
+        state, log = run_sequence(initial, (trial_first,) + pulses[1:],
+                                  ctx.trap, ctx.g2d_j_m2)
         holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
                                       label="hole_image"))
         readout_image, readout_angle = phase_readout_pattern(
@@ -490,7 +491,7 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
 
 def _run_resonance_sweep(ctx: _Context, bundle: _Bundle) -> dict:
     cfg = ctx.cfg
-    seq = cfg.sequence_spec(ctx.grid)
+    pulses = cfg.pulses(ctx.grid)
     detunings = cfg.sweep_detunings()
     initial = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
@@ -501,9 +502,8 @@ def _run_resonance_sweep(ctx: _Context, bundle: _Bundle) -> dict:
     for i, detuning in enumerate(detunings):
         logger.info("sweep point %d/%d: detuning %.3f recoils",
                     i + 1, len(detunings), detuning)
-        first = cfg.pulse_spec(0, ctx.grid, detuning_recoils=detuning)
-        point_seq = SequenceSpec((first,) + seq.pulses[1:], seq.delays_s)
-        state, log = run_sequence(initial, point_seq, ctx.trap,
+        first = replace(pulses[0], delta_nu_recoils=detuning)
+        state, log = run_sequence(initial, (first,) + pulses[1:], ctx.trap,
                                   ctx.g2d_j_m2)
         bundle.add_text(f"point_{i:02d}/populations.tsv",
                         _populations_table(log, cfg.n_max))
@@ -576,10 +576,11 @@ def run_scenario(config, output_dir: str | None = None) -> ScenarioResult:
     summary = _RUNNERS[cfg.scenario](ctx, bundle)
 
     bundle.add_text("summary.tsv", _summary_text(summary))
-    bundle.add_text("summary.tsv.meta",
-                    "format: key\\tvalue per line\n"
-                    f"scenario: {cfg.scenario}\n"
-                    f"schema_version: {cfg.data['schema_version']}\n"
-                    "floats: repr round-trip precision\n")
+    bundle.add_sidecar("summary.tsv", {
+        "format": "key\\tvalue per line",
+        "scenario": cfg.scenario,
+        "schema_version": cfg.data["schema_version"],
+        "floats": "repr round-trip precision",
+    })
     logger.info("wrote %d artifacts", len(bundle.names))
     return ScenarioResult(cfg.scenario, out, summary, tuple(bundle.names))

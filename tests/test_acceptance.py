@@ -22,7 +22,7 @@ import pytest
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     relax_ground_state, thomas_fermi_profile)
 from ramanvortex.diagnostics import vortex_report
-from ramanvortex.dynamics import (PulseSpec, SequenceSpec, calibrate_pi_pulse,
+from ramanvortex.dynamics import (PulseSpec, calibrate_pi_pulse,
                                   detuning_ladder, evolve_free, evolve_pulse,
                                   run_sequence)
 from ramanvortex.grid import Grid2D, LadderState, TransverseField
@@ -315,17 +315,17 @@ def test_criterion_10_substituted_scales(grid64, relaxed64, trap, g2d):
     first = PulseSpec(coupling_map(LG, GAUSS, 7.3e4, 0.0, grid64), 4.0, 30e-6)
     second = PulseSpec(coupling_map(LG, GAUSS, 6.0e4, 0.0, grid64), -4.0,
                        60e-6)
-    after, _ = run_sequence(state, SequenceSpec((first, second)), trap, g2d)
+    after, _ = run_sequence(state, (first, second), trap, g2d)
     p1 = after.population(1)
     frac2 = after.population(-1) / (1.0 - p1)
 
-    gen1, _ = run_sequence(state, SequenceSpec(
-        (PulseSpec(coupling_map(LG, GAUSS, 6.9e4, 0.0, grid64), 4.0,
-                   30e-6),)), trap, g2d)
+    gen1, _ = run_sequence(
+        state, (PulseSpec(coupling_map(LG, GAUSS, 6.9e4, 0.0, grid64), 4.0,
+                          30e-6),), trap, g2d)
     p1_before = gen1.population(1)
     doubling = PulseSpec(coupling_map(LG, GAUSS, 6.8e4, 0.0, grid64), 12.0,
                          70e-6)
-    gen2, _ = run_sequence(gen1, SequenceSpec((doubling,)), trap, g2d)
+    gen2, _ = run_sequence(gen1, (doubling,), trap, g2d)
     ratio = gen2.population(2) / p1_before
 
     ok = (0.10 <= p1 <= 0.35 and 0.20 <= frac2 <= 0.60

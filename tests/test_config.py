@@ -205,17 +205,12 @@ class TestMaterialization:
     def test_sequence_carries_winding_step_and_hold(self):
         cfg = self.make_config()
         cfg.data["pulses"][0]["delay_after_s"] = 2e-4
-        seq = cfg.sequence_spec(cfg.make_grid())
-        assert len(seq.pulses) == 1
-        assert seq.pulses[0].coupling.oam_step == 1
-        assert seq.pulses[0].duration_s == pytest.approx(1.3e-4)
+        pulses = cfg.pulses(cfg.make_grid())
+        assert len(pulses) == 1
+        assert pulses[0].coupling.oam_step == 1
+        assert pulses[0].duration_s == pytest.approx(1.3e-4)
         # the last pulse's delay is the hold before imaging
-        assert seq.delays_s == pytest.approx((2e-4,))
-
-    def test_detuning_override_for_sweeps(self):
-        cfg = self.make_config()
-        pulse = cfg.pulse_spec(0, cfg.make_grid(), detuning_recoils=5.5)
-        assert pulse.delta_nu_recoils == 5.5
+        assert pulses[0].delay_after_s == pytest.approx(2e-4)
 
     def test_sweep_detunings_span_inclusive(self):
         cfg = ExperimentConfig.from_mapping(minimal(
@@ -234,6 +229,4 @@ class TestMaterialization:
 
     def test_empty_custom_sequence(self):
         cfg = ExperimentConfig.from_mapping(minimal())
-        seq = cfg.sequence_spec(cfg.make_grid())
-        assert seq.pulses == ()
-        assert seq.delays_s == ()
+        assert cfg.pulses(cfg.make_grid()) == ()

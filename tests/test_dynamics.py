@@ -14,10 +14,9 @@ import pytest
 
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     gaussian_profile, thomas_fermi_profile)
-from ramanvortex.dynamics import (PulseSpec, SequenceSpec, _check_edges,
-                                  _check_norm, calibrate_pi_pulse,
-                                  detuning_ladder, evolve_free, evolve_pulse,
-                                  run_sequence)
+from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
+                                  calibrate_pi_pulse, detuning_ladder,
+                                  evolve_free, evolve_pulse, run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
                                 StepSizeError, TruncationError)
 from ramanvortex.grid import Grid2D, LadderState, bilinear_sample
@@ -236,12 +235,11 @@ class TestVortexImprint:
 class TestSequence:
     def test_log_records_per_pulse_populations(self, grid64, trap, g2d):
         state = packet_state(grid64, trap)
-        seq = SequenceSpec((
+        pulses = (
             PulseSpec(lg_g_coupling(grid64, 4.0e4), 4.0, 30e-6),
             PulseSpec(uniform_coupling(2.0e4, grid64), 4.0, 30e-6),
-        ))
-        final, log = run_sequence(state, seq, trap, g2d)
-        assert [rec["pulse"] for rec in log] == [0, 1]
+        )
+        final, log = run_sequence(state, pulses, trap, g2d)
         assert log[0]["delta_nu_recoils"] == 4.0
         assert log[1]["duration_s"] == 30e-6
         for rec in log:
@@ -253,21 +251,19 @@ class TestSequence:
     def test_inter_pulse_delay_matches_explicit_free_evolution(self, grid64,
                                                                trap, g2d):
         state = packet_state(grid64, trap)
-        p1 = PulseSpec(lg_g_coupling(grid64, 4.0e4), 4.0, 20e-6)
+        p1 = PulseSpec(lg_g_coupling(grid64, 4.0e4), 4.0, 20e-6,
+                       delay_after_s=40e-6)
         p2 = PulseSpec(uniform_coupling(2.0e4, grid64), 0.0, 20e-6)
-        with_delay, _ = run_sequence(
-            state, SequenceSpec((p1, p2), delays_s=(40e-6, 0.0)), trap, g2d)
+        with_delay, _ = run_sequence(state, (p1, p2), trap, g2d)
         manual = evolve_pulse(
             evolve_free(evolve_pulse(state, p1, trap, g2d), 40e-6, trap, g2d),
             p2, trap, g2d)
         assert np.allclose(with_delay.values, manual.values, atol=1e-12)
 
     def test_sequence_validation(self, grid64):
-        pulse = PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 1e-5)
         with pytest.raises(SimulationError):
-            SequenceSpec((pulse, pulse), delays_s=(1e-5,))
-        with pytest.raises(SimulationError):
-            SequenceSpec((pulse, pulse), delays_s=(-1e-5, 1e-5))
+            PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 1e-5,
+                      delay_after_s=-1e-5)
         with pytest.raises(SimulationError):
             PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 0.0)
 
@@ -275,17 +271,17 @@ class TestSequence:
     def test_split_sequence_runs_like_the_whole(self, units, trap, g2d, k):
         grid = Grid2D(32, 32, 160e-6, 160e-6, units)
         state = packet_state(grid, trap)
-        seq = SequenceSpec((
-            PulseSpec(lg_g_coupling(grid, 4.0e4), 4.0, 10e-6),
+        pulses = (
+            PulseSpec(lg_g_coupling(grid, 4.0e4), 4.0, 10e-6,
+                      delay_after_s=20e-6),
             PulseSpec(uniform_coupling(2.0e4, grid), 0.0, 10e-6,
-                      trap_on=False),
-            PulseSpec(uniform_coupling(2.0e4, grid), 4.0, 10e-6),
-        ), delays_s=(20e-6, 30e-6, 10e-6))
-        whole, whole_log = run_sequence(state, seq, trap, g2d)
-        head, head_log = run_sequence(
-            state, SequenceSpec(seq.pulses[:k], seq.delays_s[:k]), trap, g2d)
-        tail, tail_log = run_sequence(
-            head, SequenceSpec(seq.pulses[k:], seq.delays_s[k:]), trap, g2d)
+                      trap_on=False, delay_after_s=30e-6),
+            PulseSpec(uniform_coupling(2.0e4, grid), 4.0, 10e-6,
+                      delay_after_s=10e-6),
+        )
+        whole, whole_log = run_sequence(state, pulses, trap, g2d)
+        head, head_log = run_sequence(state, pulses[:k], trap, g2d)
+        tail, tail_log = run_sequence(head, pulses[k:], trap, g2d)
         assert np.array_equal(tail.values, whole.values)
         assert ([rec["populations"] for rec in head_log + tail_log]
                 == [rec["populations"] for rec in whole_log])

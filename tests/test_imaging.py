@@ -126,7 +126,7 @@ class TestTimeOfFlight:
         grid = Grid2D(32, 32, 80e-6, 80e-6, units)
         state = gaussian_state(grid, 10e-6)
         state.values[state.index(0), 16, 16] = bad
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="NaN or inf"):
             time_of_flight(state, 1e-3, window_s,
                            units.coupling2d_to_si(1000.0))
 

@@ -11,7 +11,7 @@ from ramanvortex import dynamics
 from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle
 from ramanvortex.dynamics import run_sequence
-from ramanvortex.grid import LadderState, load_field
+from ramanvortex.grid import LadderState, load_field, read_sidecar
 from ramanvortex.imaging import read_pgm
 from ramanvortex.scenarios import run_scenario
 
@@ -62,6 +62,24 @@ class TestCustomIdentity:
 
 def _tag(n):
     return f"m{-n}" if n < 0 else (str(n) if n == 0 else f"p{n}")
+
+
+class TestSidecars:
+    def test_every_sidecar_parses_as_key_value(self, tmp_path):
+        config = small("custom", [vortex_pulse(duration_s=1.5e-5)], tmp_path,
+                       imaging={"time_of_flight_s": 1e-3,
+                                "meanfield_window_s": 1e-4})
+        result = run_scenario(config)
+        out = Path(result.output_dir)
+        metas = sorted(out.rglob("*.meta"))
+        # field dumps, PGM images and the summary
+        assert {p.name.split(".")[-2] for p in metas} == {"bin", "pgm", "tsv"}
+        for meta_path in metas:
+            meta = read_sidecar(str(meta_path)[:-len(".meta")])
+            assert meta and all(key.isidentifier() for key in meta), meta_path
+        summary = read_sidecar(str(out / "summary.tsv"))
+        assert summary["scenario"] == "custom"
+        assert summary["schema_version"] == "1"
 
 
 class TestDeterminism:
@@ -216,7 +234,7 @@ class TestDoubleCharge:
         grid = cfg.make_grid()
         initial = LadderState.from_single_order(
             cfg.ground_state(grid).field, cfg.n_max)
-        final, _ = run_sequence(initial, cfg.sequence_spec(grid), cfg.trap(),
+        final, _ = run_sequence(initial, cfg.pulses(grid), cfg.trap(),
                                 cfg.g2d_j_m2(grid.units))
         for n in final.orders:
             assert (result.summary[f"population_order_{_tag(n)}"]
