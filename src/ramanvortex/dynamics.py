@@ -16,14 +16,15 @@ evolution and the time-of-flight mean-field window share): spectral
 half-steps for the transverse kinetic term around a position-space step in
 which trap + meanfield (an identity in order space) commutes exactly with
 the per-point ladder matrix.  That matrix, detunings included, is
-exponentiated exactly through one batched symmetric eigendecomposition per
-pulse: the phase of omega is peeled off first by conjugation with
-diag(e^{i n arg omega}), leaving a real tridiagonal.  The only splitting
-error left is the soft kinetic commutator, so the default step is set by
-the 0.1 rad guard on kinetic and potential phase rates, not by omega or
-D_n.  Each pulse references the coupling phase at its own start;
-only phase differences between pulses are physical, matching how the beams
-are actually used.
+exponentiated exactly once per pulse into a per-point unitary, built from
+symmetric eigendecompositions: the phase of omega is peeled off first by
+conjugation with diag(e^{i n arg omega}), leaving a real tridiagonal.
+Each step then applies one matrix-vector product per grid point.  The only
+splitting error left is the soft kinetic commutator, so the default step is
+set by the 0.1 rad guard on kinetic and potential phase rates and by the
+cap MAX_INTERNAL_STEP, not by omega or D_n.  Each pulse references the
+coupling phase at its own start; only phase differences between pulses are
+physical, matching how the beams are actually used.
 
 Free evolution (the delay after a pulse, the last one being the hold before
 imaging) is the same loop without the ladder, followed by the exact axial
@@ -44,7 +45,10 @@ from .grid import (MAX_PHASE_PER_STEP, LadderState, TransverseField,
                    _axial_phase, _strang_evolve)
 from .optics import CouplingMap
 
-# Hard cap on the internal step, keeping the dt-halving headroom.
+# Hard cap on the internal step.  Measured L2 error of the state after a
+# 30 us, 2e4 rad/s LG x Gaussian pulse at 128^2 with the trap on, against
+# dt / 8, at dt = 0.03: 1.2e-10 from the Thomas-Fermi state, 7.6e-7 from the
+# non-interacting Gaussian packet (which breathes under the mean field).
 MAX_INTERNAL_STEP = 0.03
 # Edge-of-ladder population above which truncation is unsound.
 EDGE_POPULATION_LIMIT = 1e-3
@@ -114,41 +118,61 @@ def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
     return n_steps, t_total / n_steps
 
 
+# Grid points per eigh block while a pulse's ladder unitary is built.
+# Measured peak RSS of the 64^2 (4096-point) phase_scan_64 benchmark run:
+# 70.0 MB with blocks of 256, 71.1 MB with 512, 81.9 MB with one block of
+# 4096 (the whole-grid eigen path before this unitary: 70.3 MB).
+_LADDER_CHUNK = 256
+
+
 class _LadderPropagator:
-    """Per-pulse precomputation of the exact pointwise ladder exponential."""
+    """Exact per-point ladder exponential of one pulse, precomputed.
+
+    At grid point p the ladder matrix H_p holds D_n on the diagonal,
+    omega_p / 2 below it and conj(omega_p) / 2 above it.  Conjugation by
+    diag(e^{i n alpha_p}), alpha_p = arg omega_p, makes it a real symmetric
+    tridiagonal with eigenvectors V and eigenvalues w, so U_p =
+    e^{-i dt H_p} has entries M_ij e^{i (n_i - n_j) alpha_p} with
+    M = V e^{-i w dt} V^T.  U is built once per pulse from eigh over blocks
+    of _LADDER_CHUNK points, so no whole-grid eigen arrays exist; it holds
+    (2 n_max + 1)^2 complex numbers of 16 B per grid point: 51 MB at 256^2
+    with n_max 3, 303 MB at n_max 8.
+    """
 
     def __init__(self, coupling: CouplingMap, delta_recoils: np.ndarray,
                  n_max: int, dt: float, units):
         omega = units.rate_to_internal(1.0) * coupling.omega.values.ravel()
-        s = 0.5 * np.abs(omega)
-        n_pts = s.size
         dim = 2 * n_max + 1
-        tri = np.zeros((n_pts, dim, dim))
         idx = np.arange(dim)
-        tri[:, idx, idx] = delta_recoils
-        tri[:, idx[1:], idx[:-1]] = s[:, None]
-        tri[:, idx[:-1], idx[1:]] = s[:, None]
-        w, v = np.linalg.eigh(tri)
-        self.vectors = v
-        self.eigenphase = np.exp(-1j * dt * w).T.copy()  # (dim, n_pts)
         n_orders = np.arange(-n_max, n_max + 1, dtype=float)
-        alpha = np.angle(omega)
-        self.unwind = np.exp(-1j * n_orders[:, None] * alpha[None, :])
+        # (dim, dim, n_pts): U[i, j] is one contiguous row over the points
+        self.unitary = np.empty((dim, dim, omega.size), dtype=np.complex128)
+        for start in range(0, omega.size, _LADDER_CHUNK):
+            part = omega[start:start + _LADDER_CHUNK]
+            s = 0.5 * np.abs(part)
+            tri = np.zeros((part.size, dim, dim))
+            tri[:, idx, idx] = delta_recoils
+            tri[:, idx[1:], idx[:-1]] = s[:, None]
+            tri[:, idx[:-1], idx[1:]] = s[:, None]
+            w, v = np.linalg.eigh(tri)
+            m = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.transpose(0, 2, 1)
+            wind = np.exp(1j * np.angle(part)[:, None] * n_orders)
+            m *= wind[:, :, None] * wind[:, None, :].conj()
+            self.unitary[:, :, start:start + part.size] = m.transpose(1, 2, 0)
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
         """flat: (dim, n_pts) component stack at each grid point."""
-        a = flat * self.unwind
-        c = np.einsum("nij,in->jn", self.vectors, a)
-        c *= self.eigenphase
-        d = np.einsum("nij,jn->in", self.vectors, c)
-        return d * np.conj(self.unwind)
+        out = self.unitary[:, 0] * flat[0]
+        for j in range(1, len(flat)):
+            out += self.unitary[:, j] * flat[j]
+        return out
 
 
-def _check_norm(before: float, after: float):
+def _check_norm(before: float, after: float, stage: str):
     # written as not (x <= limit) so that NaN trips every guard
     if not abs(after - before) <= NORM_DRIFT_LIMIT * max(before, 1.0):
         raise SimulationError(
-            f"norm drifted by {after - before:.3g} during a pulse")
+            f"norm drifted by {after - before:.3g} during {stage}")
 
 
 def _check_edges(state: LadderState):
@@ -180,7 +204,7 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
 
     out = LadderState(grid, state.n_max, values)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    _check_norm(norm_before, norm_after)
+    _check_norm(norm_before, norm_after, "a pulse")
     _check_edges(out)
     return out
 
@@ -201,9 +225,12 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
     if t_total == 0.0:
         return LadderState(grid, state.n_max, state.values.copy())
 
+    norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
     n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
     values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
                             g, potential)
+    norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
+    _check_norm(norm_before, norm_after, "free evolution")
     _axial_phase(values, t_total)
     return LadderState(grid, state.n_max, values)
 

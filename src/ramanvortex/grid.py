@@ -225,8 +225,9 @@ def _fft2_stack(values: np.ndarray) -> np.ndarray:
 
 
 def _ifft2_stack(values: np.ndarray) -> np.ndarray:
+    # In place: values is overwritten, so callers pass a temporary.
     return scipy.fft.ifft2(values, axes=(-2, -1), norm="ortho",
-                           workers=_FFT_WORKERS)
+                           overwrite_x=True, workers=_FFT_WORKERS)
 
 
 # Phase advance allowed per split step at the stiffest split-off rate.

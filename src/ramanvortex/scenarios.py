@@ -98,13 +98,13 @@ class _Bundle:
 
     def add_image(self, name: str, image: ImagePlane) -> None:
         write_pgm(image, self.path(name))
-        self.names.append(name)
+        self.names += [name, name + ".meta"]
 
     def add_field(self, name: str, field, units: UnitSystem,
                   component_index: int, label: str) -> None:
         save_field(field, self.path(name), units,
                    component_index=component_index, label=label)
-        self.names.append(name)
+        self.names += [name, name + ".meta"]
 
 
 @dataclass(frozen=True)

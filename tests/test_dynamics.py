@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ramanvortex import dynamics
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     gaussian_profile, thomas_fermi_profile)
 from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
@@ -148,6 +150,73 @@ class TestStrangConsistency:
         parts = evolve_pulse(evolve_pulse(state, half, trap, g2d, dt_s),
                              half, trap, g2d, dt_s)
         assert np.allclose(whole.values, parts.values, atol=1e-10)
+
+    def test_pulse_error_is_second_order(self, units, trap, g2d):
+        grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+        state = LadderState.from_single_order(
+            thomas_fermi_profile(trap, g2d, grid).field, 3)
+        pulse = PulseSpec(lg_g_coupling(grid, 1.0e5), 4.0, 30e-6)
+
+        def run(n_steps):
+            # a hair above duration / n so that rounding cannot add a step
+            dt_s = pulse.duration_s / n_steps * (1.0 + 1e-9)
+            return evolve_pulse(state, pulse, trap, g2d, dt_s).values
+
+        reference = run(1280)
+        errors = [np.linalg.norm(run(n) - reference) for n in (40, 80, 160)]
+        # Strang error falls 4x per halving; a first-order slip, 2x
+        assert errors[0] / errors[1] >= 3.5
+        assert errors[1] / errors[2] >= 3.5
+
+
+class TestLadderPropagator:
+    """The per-point unitary against a dense matrix exponential."""
+
+    N_MAX = 3
+    DT = 0.1
+
+    @pytest.fixture()
+    def ladder(self, units):
+        # 32^2 = 1024 points: the unitary is built over several blocks
+        grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+        assert grid.n_y * grid.n_z > dynamics._LADDER_CHUNK
+        coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
+        deltas = detuning_ladder(4.0, self.N_MAX)
+        prop = dynamics._LadderPropagator(coupling, deltas, self.N_MAX,
+                                          self.DT, units)
+        omega = units.rate_to_internal(1.0) * coupling.omega.values.ravel()
+        return prop, omega, deltas
+
+    @staticmethod
+    def columns(prop, n_pts, dim):
+        """U[i, j, p] read back through apply on basis stacks."""
+        cols = []
+        for j in range(dim):
+            basis = np.zeros((dim, n_pts), dtype=complex)
+            basis[j] = 1.0
+            cols.append(prop.apply(basis))
+        return np.stack(cols, axis=1)
+
+    def test_matches_dense_exponential(self, ladder):
+        prop, omega, deltas = ladder
+        dim = len(deltas)
+        u = self.columns(prop, omega.size, dim)
+        # the coupling phase winds around the beam axis at the centre
+        assert np.ptp(np.angle(omega)) > 6.0
+        seam = dynamics._LADDER_CHUNK
+        for p in (0, 100, seam - 1, seam, 528, 540, omega.size - 1):
+            h = (np.diag(deltas).astype(complex)
+                 + np.diag(np.full(dim - 1, omega[p] / 2), -1)
+                 + np.diag(np.full(dim - 1, np.conj(omega[p]) / 2), 1))
+            expected = scipy.linalg.expm(-1j * self.DT * h)
+            assert np.max(np.abs(u[:, :, p] - expected)) < 1e-12, p
+
+    def test_is_unitary_at_every_point(self, ladder):
+        prop, omega, deltas = ladder
+        dim = len(deltas)
+        u = self.columns(prop, omega.size, dim)
+        product = np.einsum("ikp,jkp->ijp", u, u.conj())
+        assert np.max(np.abs(product - np.eye(dim)[:, :, None])) < 1e-13
 
 
 class TestConservation:
@@ -346,11 +415,20 @@ class TestGuards:
 
     def test_nan_trips_norm_and_edge_guards(self, grid32, trap):
         with pytest.raises(SimulationError):
-            _check_norm(1.0, math.nan)
+            _check_norm(1.0, math.nan, "a pulse")
         state = packet_state(grid32, trap, n_max=2)
         state.values[state.index(2), 0, 0] = math.nan
         with pytest.raises(TruncationError):
             _check_edges(state)
+
+    def test_norm_drift_trips_free_evolution(self, grid32, trap, g2d,
+                                             monkeypatch):
+        loop = dynamics._strang_evolve
+        monkeypatch.setattr(dynamics, "_strang_evolve",
+                            lambda *args: loop(*args) * (1.0 + 1e-6))
+        state = packet_state(grid32, trap)
+        with pytest.raises(SimulationError, match="during free evolution"):
+            evolve_free(state, 1e-5, trap, g2d)
 
     def test_oversized_explicit_dt_rejected(self, grid128, trap):
         state = packet_state(grid128, trap)

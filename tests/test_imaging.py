@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar
 
+from ramanvortex import imaging
 from ramanvortex.errors import GridOverflowError, SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                              bilinear_sample)
@@ -129,6 +130,31 @@ class TestTimeOfFlight:
         with pytest.raises(SimulationError, match="NaN or inf"):
             time_of_flight(state, 1e-3, window_s,
                            units.coupling2d_to_si(1000.0))
+
+    def test_meanfield_window_error_is_second_order(self, units,
+                                                    monkeypatch):
+        # The window's step count is ceil(T * rate / MAX_PHASE_PER_STEP);
+        # a limit of T * rate / (n - 1/2) gives exactly n steps of T / n.
+        grid = Grid2D(32, 32, 80e-6, 80e-6, units)
+        state = gaussian_state(grid, 10e-6)
+        state.values[state.index(1)] = 0.5 * vortex_values(grid, 10e-6, 1)
+        g2d = units.coupling2d_to_si(1000.0)
+        window_s = 5e-4
+        t = units.time_to_internal(window_s)
+        rate = (grid.mesh_ksq.max()
+                + units.coupling2d_to_internal(g2d)
+                * state.total_density().max())
+
+        def window(n_steps):
+            monkeypatch.setattr(imaging, "MAX_PHASE_PER_STEP",
+                                t * rate / (n_steps - 0.5))
+            return time_of_flight(state, window_s, window_s, g2d).values
+
+        reference = window(256)
+        errors = [np.linalg.norm(window(n) - reference) for n in (4, 8, 16)]
+        # Strang error falls 4x per halving; a first-order slip, 2x
+        assert errors[0] / errors[1] >= 3.5
+        assert errors[1] / errors[2] >= 3.5
 
     def test_negative_time_and_thin_padding_rejected(self, grid64):
         state = gaussian_state(grid64, 10e-6)

@@ -95,6 +95,10 @@ class TestDeterminism:
             paths.append((Path(result.output_dir), result.artifacts))
         (dir_a, names_a), (dir_b, names_b) = paths
         assert names_a == names_b
+        # every sidecar is listed, so the byte comparison below covers it
+        metas = {path.relative_to(dir_a).as_posix()
+                 for path in dir_a.rglob("*.meta")}
+        assert metas and metas <= set(names_a)
         for name in names_a:
             if name == "config_echo.json":
                 # echoes differ only in the output_dir they record
