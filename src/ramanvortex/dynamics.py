@@ -11,13 +11,14 @@ minus the photon energy bookkeeping).  dnu is carried as the ratio
 dnu / nu_r so the resonances D_1(4) = D_2(8) = [D_2 - D_1](12) = 0 hold
 exactly in floating point.
 
-Splitting (grid._strang_evolve, the one real-time loop, which free
-evolution and the time-of-flight mean-field window share): spectral
-half-steps for the transverse kinetic term around a position-space step in
-which trap + meanfield (an identity in order space) commutes exactly with
-the per-point ladder matrix.  That matrix, detunings included, is
-exponentiated exactly once per pulse into a per-point unitary, built from
-symmetric eigendecompositions: the phase of omega is peeled off first by
+Splitting (grid._strang_steps, the one split-step loop, shared in real time
+by free evolution and the time-of-flight mean-field window and run in
+imaginary time by ground-state relaxation): spectral half-steps for the
+transverse kinetic term around a position-space step in which trap +
+meanfield (an identity in order space) commutes exactly with the per-point
+ladder matrix.  That matrix, detunings included, is exponentiated exactly
+once per pulse into a per-point unitary, built from symmetric
+eigendecompositions: the phase of omega is peeled off first by
 conjugation with diag(e^{i n arg omega}), leaving a real tridiagonal.
 Each step then applies one matrix-vector product per grid point.  The only
 splitting error left is the soft kinetic commutator, so the default step is
@@ -73,10 +74,16 @@ class PulseSpec:
     delay_after_s: float = 0.0
 
     def __post_init__(self):
-        if self.duration_s <= 0.0:
-            raise SimulationError("pulse duration must be positive")
-        if self.delay_after_s < 0.0:
-            raise SimulationError("delay after a pulse must be nonnegative")
+        # written as not (a < x < b) so that NaN trips every check
+        if not 0.0 < self.duration_s < math.inf:
+            raise SimulationError(
+                f"pulse duration {self.duration_s} s is not finite and > 0")
+        if not 0.0 <= self.delay_after_s < math.inf:
+            raise SimulationError(
+                f"delay {self.delay_after_s} s is not finite and >= 0")
+        if not abs(self.delta_nu_recoils) < math.inf:
+            raise SimulationError(
+                f"detuning {self.delta_nu_recoils} is not finite")
 
 
 def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
@@ -108,8 +115,8 @@ def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
         n_steps = max(1, math.ceil(t_total / dt_limit))
         return n_steps, t_total / n_steps
     dt = units.time_to_internal(dt_s)
-    if dt <= 0.0:
-        raise StepSizeError("dt must be positive")
+    if not dt > 0.0:
+        raise StepSizeError(f"dt = {dt_s} s is not > 0")
     if dt * rate > MAX_PHASE_PER_STEP:
         raise StepSizeError(
             f"dt = {dt_s} s advances the stiffest split phase by "
@@ -216,8 +223,9 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
     The axial kinetic energy 4 n^2 E_r is a global per-order phase applied
     exactly; the transverse terms use the same splitting as a pulse.
     """
-    if duration_s < 0.0:
-        raise SimulationError("duration must be nonnegative")
+    if not 0.0 <= duration_s < math.inf:
+        raise SimulationError(
+            f"duration {duration_s} s is not finite and >= 0")
     grid = state.grid
     g = grid.units.coupling2d_to_internal(g2d_j_m2)
     potential = trap.potential_internal(grid) if trap is not None else None
@@ -282,8 +290,9 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
     (peak_rate_rad_s, achieved transfer).  Raises CalibrationError when
     the best point sits at the scan edge.
     """
-    if duration_s <= 0.0:
-        raise SimulationError("pulse duration must be positive")
+    if not 0.0 < duration_s < math.inf:
+        raise SimulationError(
+            f"pulse duration {duration_s} s is not finite and > 0")
     base = math.pi / duration_s
     initial = LadderState.from_single_order(state.field, n_max)
 

@@ -1,5 +1,6 @@
 """Transverse grid, complex fields, momentum-ladder states, field I/O and
-the real-time split-step loop shared by pulses, delays and time of flight.
+the one split-step loop, run in real time by pulses, delays and time of
+flight and in imaginary time by ground-state relaxation.
 
 Arrays are indexed [iz, iy]: axis 0 runs along z, axis 1 along y, so a
 C-order flattening walks y fastest.  Grid axes are FFT-periodic (cell
@@ -242,35 +243,63 @@ def _kinetic(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return _ifft2_stack(spec)
 
 
-def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
-                   n_steps: int, g: float, potential: np.ndarray | None = None,
-                   ladder=None) -> np.ndarray:
-    """n_steps real-time Strang steps of a (dim, n_z, n_y) order stack.
+def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
+                  g: float, potential: np.ndarray | None = None, ladder=None):
+    """Strang steps of a (dim, n_z, n_y) order stack, without end.
 
-    Each step is a kinetic half-step e^{-i dt ksq / 2}, the position-space
-    step, and another kinetic half-step; the half-steps between steps are
-    merged.  The position-space step applies ladder (an object whose
-    apply maps a (dim, n_points) stack to its exact per-point ladder
-    exponential), when given, and then the phase of trap plus mean field,
-    which is the identity in order space and so commutes with it.
+    tau is the step exponent, i dt in real time and dt in imaginary time,
+    which then runs in real arithmetic.  Each step is a kinetic half-step
+    e^{-tau ksq / 2}, the position-space step and another half-step.  The
+    position-space step applies ladder (an object whose apply maps a
+    (dim, n_points) stack to its exact per-point ladder exponential), when
+    given, then e^{-tau (V + g rho)}, which is the identity in order space
+    and so commutes with it.
 
-    values itself is never written: the first half-step makes the working
-    stack.  A caller that builds values only for this call passes it as a
-    temporary, so it is freed after that half-step instead of being held
-    through the loop.
+    Yields (spec, pending) at each step boundary, before the first step
+    and after each one: the state there is spec * pending (pending is 1.0
+    at the start, the closing half-step after that).  The caller may scale
+    spec in place; resuming applies the half-steps between two steps as
+    one merged factor.  To end, the caller multiplies the last spec by
+    pending and transforms back.  values is never written and is released
+    once transformed, so a caller that drops its own reference does not
+    hold it through the loop.
     """
-    half_kin = np.exp(-0.5j * dt * ksq)
-    full_kin = half_kin * half_kin
-    values = _kinetic(values, half_kin)
-    for step in range(n_steps):
+    half = np.exp(-0.5 * tau * ksq)
+    full = half * half
+    spec = _fft2_stack(values)
+    del values
+    yield spec, 1.0
+    spec *= half
+    while True:
+        values = _ifft2_stack(spec)
+        del spec
         rho = np.sum(np.abs(values) ** 2, axis=0)
         scalar = g * rho if potential is None else potential + g * rho
         if ladder is not None:
             values = ladder.apply(
                 values.reshape(len(values), -1)).reshape(values.shape)
-        values *= np.exp(-1j * dt * scalar)
-        values = _kinetic(values, full_kin if step < n_steps - 1 else half_kin)
-    return values
+        values *= np.exp(-tau * scalar)
+        spec = _fft2_stack(values)
+        del values
+        yield spec, half
+        spec *= full
+
+
+def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
+                   n_steps: int, g: float, potential: np.ndarray | None = None,
+                   ladder=None) -> np.ndarray:
+    """n_steps real-time Strang steps (_strang_steps with tau = i dt): the
+    loop of pulses, delays and the time-of-flight mean-field window.  Costs
+    2 n_steps + 2 FFTs, and values is not held through the loop."""
+    steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
+    del values
+    # Yields are dropped at once: a spectrum kept across a step would hold
+    # an extra stack through the ladder product.
+    for _ in range(n_steps):
+        next(steps)
+    spec, pending = next(steps)
+    spec *= pending
+    return _ifft2_stack(spec)
 
 
 def _axial_phase(values: np.ndarray, t: float) -> None:

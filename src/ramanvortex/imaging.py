@@ -113,14 +113,19 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     separation bookkeeping.
 
     Raises GridOverflowError if the expanded cloud reaches the padded
-    boundary, and SimulationError if the state holds NaN or inf.
+    boundary, and SimulationError if the state holds NaN or inf, or if a
+    time is negative or NaN (t_s also when infinite).
     """
-    if t_s < 0.0:
-        raise SimulationError("time of flight must be nonnegative")
-    if pad_factor < 2.0:
+    # written as not (a <= x) so that NaN trips every check
+    if not 0.0 <= t_s < math.inf:
+        raise SimulationError(f"time of flight {t_s} s is not finite and >= 0")
+    if not meanfield_window_s >= 0.0:
+        raise SimulationError(
+            f"mean-field window {meanfield_window_s} s is not >= 0")
+    if not pad_factor >= 2.0:
         raise SimulationError("pad_factor must be >= 2 (zero-embedding rule)")
     units = state.grid.units
-    window_s = min(max(meanfield_window_s, 0.0), t_s)
+    window_s = min(meanfield_window_s, t_s)
 
     padded = state.grid.padded(pad_factor)
     values = _embed(state.values, state.grid, padded)

@@ -6,6 +6,7 @@ SI oracles, independent of the internal unit system:
     = pi hbar (nu_y + nu_z).
 """
 
+import logging
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from scipy.constants import hbar
 
 from ramanvortex.errors import (ConvergenceError, SimulationError,
                                 StepSizeError)
-from ramanvortex.condensate import (GroundState, TrapSpec, g2d_from_tf_radius,
-                                    gaussian_profile, gpe_energy,
-                                    relax_ground_state, thomas_fermi_profile)
-from ramanvortex.grid import _fft2_stack, _ifft2_stack
+from ramanvortex.condensate import (GroundState, TrapSpec, _tf_radii_m,
+                                    g2d_from_tf_radius, gaussian_profile,
+                                    gpe_energy, relax_ground_state,
+                                    thomas_fermi_profile)
+from ramanvortex.grid import (Grid2D, TransverseField, _fft2_stack,
+                              _ifft2_stack)
 
 NU_Y = 40.0 / math.sqrt(2.0)
 NU_Z = 40.0
@@ -164,11 +167,117 @@ class TestRelaxation:
 
     def test_step_size_guard(self, trap, g2d, grid128):
         seed = thomas_fermi_profile(trap, g2d, grid128)
-        with pytest.raises(StepSizeError):
-            relax_ground_state(seed, trap, g2d, dt_s=1e-3)
+        for dt_s in (1e-3, -2e-6, math.nan):
+            with pytest.raises(StepSizeError):
+                relax_ground_state(seed, trap, g2d, dt_s=dt_s)
+
+    # an inf pixel spreads as inf * 0 = nan through the spectrum
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_seed_raises_at_once(self, trap, g2d, units, bad):
+        grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
+        seed = thomas_fermi_profile(trap, g2d, grid32)
+        values = seed.field.values.copy()
+        values[16, 16] = bad
+        bad_seed = GroundState(TransverseField(grid32, values),
+                               seed.chemical_potential_j, seed.tf_radii_m)
+        log = []
+        with pytest.raises(SimulationError, match="NaN or inf"):
+            relax_ground_state(bad_seed, trap, g2d, energy_log=log)
+        assert log == []
+
+    def test_logs_steps_and_final_change_against_tol(self, trap, g2d, units,
+                                                     caplog):
+        grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
+        seed = thomas_fermi_profile(trap, g2d, grid32)
+        log = []
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.condensate"):
+            relax_ground_state(seed, trap, g2d, tol=1e-6, energy_log=log)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert f"in {len(log)} steps" in record.getMessage()
+        assert "< tol 1e-06" in record.getMessage()
 
     def test_budget_exhaustion_reported(self, trap, g2d, grid128):
         seed = thomas_fermi_profile(trap, g2d, grid128)
         with pytest.raises(ConvergenceError, match="not converged"):
             relax_ground_state(seed, trap, g2d, dt_s=2e-6, tol=0.0,
                                max_steps=3)
+
+
+# The earlier stand-alone relaxation, verbatim apart from the names: two
+# unmerged kinetic half-steps, a position-space renormalisation and a
+# forward FFT for the energy per step, 5 N + 1 FFTs in all.  It is the
+# oracle for relaxation through the shared split-step loop.
+def _reference_split_energies(values, potential, g, grid):
+    spec = _fft2_stack(values)
+    dens = np.abs(values) ** 2
+    e_kin = float(np.sum(grid.mesh_ksq * np.abs(spec) ** 2) * grid.cell_area)
+    e_pot = float(np.sum(potential * dens) * grid.cell_area)
+    quartic = float(np.sum(dens * dens) * grid.cell_area)
+    return e_kin, e_pot, g * quartic
+
+
+def reference_relax_ground_state(seed, trap, g2d_j_m2, dt_s=2e-6, tol=1e-9,
+                                 max_steps=10000, energy_log=None):
+    grid = seed.field.grid
+    units = grid.units
+    g = units.coupling2d_to_internal(g2d_j_m2)
+    dt = units.time_to_internal(dt_s)
+    potential = trap.potential_internal(grid)
+    stiffest = max(float(potential.max()), float(grid.mesh_ksq.max()))
+    if dt <= 0.0 or dt * stiffest >= 0.5:
+        raise StepSizeError(
+            f"imaginary-time step {dt_s} s is unstable here: "
+            f"dt * stiffest rate = {dt * stiffest:.3g} >= 0.5")
+
+    half_kin = np.exp(-0.5 * dt * grid.mesh_ksq)
+    psi = seed.field.values.copy()
+    e_kin, e_pot, e_int2 = _reference_split_energies(psi, potential, g, grid)
+    energy = e_kin + e_pot + 0.5 * e_int2
+    residual = math.inf
+    for _ in range(max_steps):
+        psi = _ifft2_stack(half_kin * _fft2_stack(psi))
+        psi *= np.exp(-dt * (potential + g * np.abs(psi) ** 2))
+        psi = _ifft2_stack(half_kin * _fft2_stack(psi))
+        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_area)
+        e_kin, e_pot, e_int2 = _reference_split_energies(psi, potential, g,
+                                                         grid)
+        new_energy = e_kin + e_pot + 0.5 * e_int2
+        if energy_log is not None:
+            energy_log.append(new_energy)
+        residual = abs(new_energy - energy) / max(abs(new_energy), 1e-300)
+        energy = new_energy
+        if residual < tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"ground state not converged after {max_steps} steps; "
+            f"last relative energy change {residual:.3g} (tol {tol:g})")
+
+    # Fix the global phase to 0 at the density peak.
+    peak = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
+    psi *= np.exp(-1j * np.angle(psi[peak]))
+    mu = e_kin + e_pot + e_int2
+    wy, wz = trap.omegas_internal(units)
+    return GroundState(TransverseField(grid, psi), units.energy_to_si(mu),
+                       _tf_radii_m(mu, wy, wz, units))
+
+
+class TestRelaxationMatchesReference:
+    @pytest.mark.parametrize("case", ["thomas_fermi", "gaussian_g0"])
+    def test_same_steps_and_state(self, case, trap, g2d, grid64):
+        if case == "thomas_fermi":
+            seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid64), g2d, 2e-6
+        else:
+            seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid64)
+            g, dt_s = 0.0, 3e-6
+        log, reference_log = [], []
+        out = relax_ground_state(seed, trap, g, dt_s=dt_s, energy_log=log)
+        reference = reference_relax_ground_state(seed, trap, g, dt_s=dt_s,
+                                                 energy_log=reference_log)
+        assert len(log) == len(reference_log)
+        diff = out.field.values - reference.field.values
+        assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid64.cell_area) < 1e-12
+        assert out.chemical_potential_j == pytest.approx(
+            reference.chemical_potential_j, rel=1e-12)

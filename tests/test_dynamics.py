@@ -22,6 +22,7 @@ from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
 from ramanvortex.errors import (CalibrationError, SimulationError,
                                 StepSizeError, TruncationError)
 from ramanvortex.grid import Grid2D, LadderState, bilinear_sample
+from ramanvortex.imaging import time_of_flight
 from ramanvortex.optics import BeamSpec, coupling_map, mode_field, uniform_coupling
 
 NU_Y_HZ = 40.0 / math.sqrt(2.0)
@@ -412,6 +413,31 @@ class TestGuards:
         pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
         with pytest.raises(SimulationError, match="NaN or inf"):
             evolve_pulse(state, pulse, trap, g2d)
+
+    # Each way a NaN or inf time can enter from Python; an infinite
+    # mean-field window is valid (it covers the whole flight).
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry in ("duration", "delay", "detuning", "free",
+                                   "pulse_dt", "tof_time", "tof_window")
+        for bad in (math.nan, math.inf)
+        if (entry, bad) != ("tof_window", math.inf)])
+    def test_non_finite_time_rejected(self, grid32, trap, g2d, entry, bad):
+        state = packet_state(grid32, trap)
+        coupling = uniform_coupling(2.0e4, grid32)
+        pulse = PulseSpec(coupling, 4.0, 1e-5)
+        calls = {
+            "duration": lambda: PulseSpec(coupling, 4.0, bad),
+            "delay": lambda: PulseSpec(coupling, 4.0, 1e-5,
+                                       delay_after_s=bad),
+            "detuning": lambda: PulseSpec(coupling, bad, 1e-5),
+            "free": lambda: evolve_free(state, bad, trap, g2d),
+            "pulse_dt": lambda: evolve_pulse(state, pulse, trap, g2d,
+                                             dt_s=bad),
+            "tof_time": lambda: time_of_flight(state, bad, 1e-4, g2d),
+            "tof_window": lambda: time_of_flight(state, 1e-3, bad, g2d),
+        }
+        with pytest.raises(SimulationError, match=r"nan|inf"):
+            calls[entry]()
 
     def test_nan_trips_norm_and_edge_guards(self, grid32, trap):
         with pytest.raises(SimulationError):

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from ramanvortex import condensate, dynamics, grid as grid_module
+from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
+                                    relax_ground_state, thomas_fermi_profile)
+from ramanvortex.dynamics import PulseSpec, evolve_pulse
 from ramanvortex.errors import SimulationError
 from ramanvortex.grid import (Grid2D, TransverseField, LadderState, save_field,
                               load_field, read_sidecar, _fft2_stack,
                               _ifft2_stack)
+from ramanvortex.optics import uniform_coupling
 
 
 def random_normalized_field(grid, rng):
@@ -155,3 +160,56 @@ def test_sidecar_readable(tmp_path, grid64, units, rng):
     meta = read_sidecar(path)
     assert int(meta["n_y"]) == grid64.n_y
     assert float(meta["extent_y_m"]) == pytest.approx(grid64.extent_y_m, rel=1e-15)
+
+
+class TestSplitStepFftCount:
+    """The one split-step loop's FFT budget: 2 n + 2 for an n-step pulse
+    (half-steps merged between steps), 3 N + 2 for an N-step relaxation
+    (norm and kinetic energy read from the spectrum, one inverse FFT for
+    the rest of the energy)."""
+
+    @pytest.fixture()
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("_fft2_stack", "_ifft2_stack"):
+            original = getattr(grid_module, name)
+
+            def counted(values, _original=original):
+                calls.append(_original.__name__)
+                return _original(values)
+
+            for module in (grid_module, condensate):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture()
+    def grid32(self, units):
+        return Grid2D(32, 32, 160e-6, 160e-6, units)
+
+    @pytest.fixture()
+    def trap(self):
+        return TrapSpec(40.0 / math.sqrt(2.0), 40.0)
+
+    def test_relaxation_costs_3n_plus_2(self, grid32, trap, units, fft_calls):
+        g2d = g2d_from_tf_radius(trap, 30e-6, units)
+        seed = thomas_fermi_profile(trap, g2d, grid32)
+        log = []
+        relax_ground_state(seed, trap, g2d, tol=1e-6, energy_log=log)
+        assert len(log) > 10
+        assert len(fft_calls) == 3 * len(log) + 2
+
+    def test_pulse_costs_2n_plus_2(self, grid32, trap, units, fft_calls,
+                                   monkeypatch):
+        steps = []
+        apply = dynamics._LadderPropagator.apply
+        monkeypatch.setattr(dynamics._LadderPropagator, "apply",
+                            lambda self, flat: steps.append(1) or apply(
+                                self, flat))
+        state = LadderState.from_single_order(
+            thomas_fermi_profile(trap, g2d_from_tf_radius(trap, 30e-6, units),
+                                 grid32).field, 2)
+        pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 2e-5)
+        evolve_pulse(state, pulse, trap, 0.0)
+        assert len(steps) > 1
+        assert len(fft_calls) == 2 * len(steps) + 2
