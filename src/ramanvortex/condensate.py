@@ -37,8 +37,10 @@ class TrapSpec:
     nu_z_hz: float
 
     def __post_init__(self):
-        if self.nu_y_hz < 0.0 or self.nu_z_hz < 0.0:
-            raise SimulationError("trap frequencies must be nonnegative")
+        if not (0.0 <= self.nu_y_hz < math.inf
+                and 0.0 <= self.nu_z_hz < math.inf):
+            raise SimulationError("trap frequencies must be finite and "
+                                  "nonnegative")
 
     def omegas_internal(self, units: UnitSystem) -> tuple[float, float]:
         return (units.trap_omega_internal(self.nu_y_hz),
@@ -72,8 +74,8 @@ def _tf_radii_m(mu: float, wy: float, wz: float, units: UnitSystem
 def g2d_from_tf_radius(trap: TrapSpec, radius_y_m: float,
                        units: UnitSystem) -> float:
     """Interaction strength (J m^2) that puts the TF edge at radius_y_m."""
-    if radius_y_m <= 0.0:
-        raise SimulationError("target radius must be positive")
+    if not 0.0 < radius_y_m < math.inf:
+        raise SimulationError("target radius must be finite and positive")
     wy, wz = trap.omegas_internal(units)
     if wy <= 0.0 or wz <= 0.0:
         raise SimulationError("radius calibration needs a confining trap")

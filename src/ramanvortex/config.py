@@ -7,12 +7,19 @@ is all-at-once: every problem in the file is reported in a single
 ConfigError, each prefixed with the dotted path of the offending key, and
 unknown keys are rejected with a nearest-match suggestion.
 
-``normalize`` returns the fully-defaulted echo of a config: a plain dict
-with every schema key present, suitable for writing back out.  Normalizing
-an echo is the identity, so saved echoes round-trip.  ``ExperimentConfig``
-wraps a normalized mapping and knows how to build the domain objects
-(unit system, grid, trap, beams, pulse sequence) that the scenario runner
-consumes.
+Each schema key is declared once, as a row (key, reader, default, limits)
+of its object's field table: the top level with its sections, a beam, a
+pulse.  One loop reads an object against its table: it rejects unknown
+keys, fills defaults and checks limits.  ``normalize`` then applies the
+checks that span keys and returns the fully-defaulted echo: a plain dict
+with every schema key present, in table order, suitable for writing back
+out.  Normalizing an echo is the identity, so saved echoes round-trip.
+
+``ExperimentConfig`` wraps a normalized mapping and builds the domain
+objects (unit system, grid, trap, beams, ground state) that the scenario
+runner consumes.  ``ExperimentConfig.pulses`` is the one way from a config
+to a pulse sequence; scenarios that vary a pulse (the detuning sweep, the
+phase study) derive it from that sequence.
 """
 
 from __future__ import annotations
@@ -41,21 +48,6 @@ SCENARIOS = ("single_vortex", "counter_rotating", "phase_coherence",
 _BEAM_KINDS = ("lg", "gaussian")
 _PROFILES = ("thomas_fermi", "gaussian", "relaxed")
 
-_TOP_KEYS = ("schema_version", "scenario", "output_dir", "seed", "atom",
-             "grid", "trap", "condensate", "beams", "pulses", "imaging",
-             "study", "sweep")
-_ATOM_KEYS = ("mass_kg", "wavelength_m")
-_GRID_KEYS = ("points_y", "points_z", "extent_y_m", "extent_z_m", "n_max")
-_TRAP_KEYS = ("nu_y_hz", "nu_z_hz")
-_CONDENSATE_KEYS = ("profile", "tf_radius_y_m", "g2d_j_m2")
-_BEAM_KEYS = ("kind", "waist_m", "winding", "phase_rad", "power_w")
-_PULSE_KEYS = ("absorb", "emit", "rabi_rate_rad_s", "detuning_recoils",
-               "duration_s", "relative_phase_rad", "delay_after_s", "trap_on")
-_IMAGING_KEYS = ("time_of_flight_s", "meanfield_window_s", "pixel_m",
-                 "blur_sigma_m", "noise_rms", "pad_factor")
-_STUDY_KEYS = ("n_trials", "phases_rad", "annulus_inner_m", "annulus_outer_m")
-_SWEEP_KEYS = ("detuning_recoils_start", "detuning_recoils_stop", "points")
-
 
 def _join(path: str, key) -> str:
     if isinstance(key, int):
@@ -77,13 +69,8 @@ def _reject_unknown(data: Mapping, allowed, path: str, problems: list) -> None:
                             f"{_suggest(str(key), allowed)}")
 
 
-def _section(data: Mapping, key: str, problems: list) -> Mapping:
-    value = data.get(key, {})
-    if not isinstance(value, Mapping):
-        problems.append(f"{key}: expected an object")
-        return {}
-    return value
-
+# Readers.  Each takes (data, key, path, problems, default, **limits),
+# reports what is wrong with data[key] and returns the value to echo.
 
 def _number(data: Mapping, key: str, path: str, problems: list, default,
             minimum=None, exclusive=False, maximum=None, allow_none=False):
@@ -114,6 +101,24 @@ def _number(data: Mapping, key: str, path: str, problems: list, default,
     return value
 
 
+def _numbers(data: Mapping, key: str, path: str, problems: list, default):
+    """null, or a list of finite numbers."""
+    value = data.get(key, default)
+    if value is None:
+        return None
+    where = _join(path, key)
+    if (not isinstance(value, Sequence) or isinstance(value, (str, bytes))
+            or not all(isinstance(v, (int, float))
+                       and not isinstance(v, bool) for v in value)):
+        problems.append(f"{where}: expected null or a list of numbers")
+        return None
+    values = [float(v) for v in value]
+    bad = [i for i, v in enumerate(values) if not math.isfinite(v)]
+    for i in bad:
+        problems.append(f"{_join(where, i)}: must be finite")
+    return None if bad else values
+
+
 def _integer(data: Mapping, key: str, path: str, problems: list, default,
              minimum=None, maximum=None):
     value = data.get(key, default)
@@ -125,6 +130,15 @@ def _integer(data: Mapping, key: str, path: str, problems: list, default,
         problems.append(f"{where}: must be >= {minimum} (got {value})")
     if maximum is not None and value > maximum:
         problems.append(f"{where}: must be <= {maximum} (got {value})")
+    return value
+
+
+def _power_of_two(data: Mapping, key: str, path: str, problems: list,
+                  default):
+    value = _integer(data, key, path, problems, default, minimum=8)
+    if isinstance(value, int) and value >= 8 and value & (value - 1):
+        problems.append(f"{_join(path, key)}: must be a power of two "
+                        f"(got {value})")
     return value
 
 
@@ -147,85 +161,180 @@ def _boolean(data: Mapping, key: str, path: str, problems: list, default):
     return value
 
 
-def _power_of_two(data: Mapping, key: str, path: str, problems: list,
-                  default):
-    value = _integer(data, key, path, problems, default, minimum=8)
-    if isinstance(value, int) and value >= 8 and value & (value - 1):
-        problems.append(f"{_join(path, key)}: must be a power of two "
-                        f"(got {value})")
+def _text(data: Mapping, key: str, path: str, problems: list, default):
+    """A non-empty string; an absent key reads as default."""
+    value = data.get(key, default)
+    if key in data and (not isinstance(value, str) or not value):
+        problems.append(f"{_join(path, key)}: expected a non-empty string, "
+                        f"got {value!r}")
+        return default
     return value
 
 
-def _normalize_beams(data: Mapping, problems: list) -> dict:
+def _tf_radius(data: Mapping, key: str, path: str, problems: list, default,
+               **limits):
+    """A number whose default is null once g2d_j_m2 is given: a given g2d
+    replaces the TF-radius parametrization entirely."""
+    if data.get("g2d_j_m2") is not None:
+        default = None
+    return _number(data, key, path, problems, default, **limits)
+
+
+def _beam_name(data: Mapping, key: str, path: str, problems: list, default):
+    """Taken as given; normalize checks it against the defined beams."""
+    return data.get(key, default)
+
+
+def _fields(data: Mapping, table, path: str, problems: list) -> dict:
+    """Read one object against its field table, in table order."""
+    _reject_unknown(data, [row[0] for row in table], path, problems)
+    return {key: reader(data, key, path, problems, default, **limits)
+            for key, reader, default, limits in table}
+
+
+# Readers of nested objects; their default is the field table to read.
+
+def _object(data: Mapping, key: str, path: str, problems: list, table):
+    value = data.get(key, {})
+    where = _join(path, key)
+    if not isinstance(value, Mapping):
+        problems.append(f"{where}: expected an object")
+        value = {}
+    return _fields(value, table, where, problems)
+
+
+def _beams(data: Mapping, key: str, path: str, problems: list, table):
+    value = data.get(key, {})
+    where = _join(path, key)
+    if not isinstance(value, Mapping):
+        problems.append(f"{where}: expected an object of named beams")
+        return {}
     beams = {}
-    for name, raw in data.items():
-        path = _join("beams", str(name))
+    for name, raw in value.items():
         if not str(name).isidentifier():
-            problems.append(f"beams: name {name!r} must be an identifier")
-            continue
-        if not isinstance(raw, Mapping):
-            problems.append(f"{path}: expected an object")
-            continue
-        _reject_unknown(raw, _BEAM_KEYS, path, problems)
-        kind = _choice(raw, "kind", path, problems, "gaussian", _BEAM_KINDS)
-        winding = _integer(raw, "winding", path, problems, 0,
-                           minimum=-MAX_WINDING, maximum=MAX_WINDING)
-        if kind == "gaussian" and winding != 0:
-            problems.append(f"{path}.winding: a gaussian beam carries no "
-                            f"winding (got {winding})")
-        beams[str(name)] = {
-            "kind": kind,
-            "waist_m": _number(raw, "waist_m", path, problems, None,
-                               minimum=0.0, exclusive=True),
-            "winding": winding,
-            "phase_rad": _number(raw, "phase_rad", path, problems, 0.0),
-            "power_w": _number(raw, "power_w", path, problems, 0.0,
-                               minimum=0.0),
-        }
+            problems.append(f"{where}: name {name!r} must be an identifier")
+        elif not isinstance(raw, Mapping):
+            problems.append(f"{_join(where, str(name))}: expected an object")
+        else:
+            beams[str(name)] = _fields(raw, table, _join(where, str(name)),
+                                       problems)
     return beams
 
 
-def _normalize_pulses(data, beams: Mapping, problems: list) -> list:
-    if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
-        problems.append("pulses: expected a list")
+def _pulses(data: Mapping, key: str, path: str, problems: list, table):
+    value = data.get(key, [])
+    where = _join(path, key)
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        problems.append(f"{where}: expected a list")
         return []
     pulses = []
-    for i, raw in enumerate(data):
-        path = f"pulses[{i}]"
-        if not isinstance(raw, Mapping):
-            problems.append(f"{path}: expected an object")
+    for i, raw in enumerate(value):
+        if isinstance(raw, Mapping):
+            pulses.append(_fields(raw, table, _join(where, i), problems))
+        else:
+            # a placeholder keeps later pulses at their list index
+            problems.append(f"{_join(where, i)}: expected an object")
+            pulses.append(None)
+    return pulses
+
+
+# Field tables: (key, reader, default, limits) per key, in echo order.
+# A default of None marks a required key unless the limits allow null.
+_POSITIVE = {"minimum": 0.0, "exclusive": True}
+_NON_NEGATIVE = {"minimum": 0.0}
+
+_BEAM = (
+    ("kind", _choice, "gaussian", {"allowed": _BEAM_KINDS}),
+    ("waist_m", _number, None, _POSITIVE),
+    ("winding", _integer, 0, {"minimum": -MAX_WINDING,
+                              "maximum": MAX_WINDING}),
+    ("phase_rad", _number, 0.0, {}),
+    ("power_w", _number, 0.0, _NON_NEGATIVE),
+)
+
+_PULSE = (
+    ("absorb", _beam_name, None, {}),
+    ("emit", _beam_name, None, {}),
+    ("rabi_rate_rad_s", _number, None, _POSITIVE),
+    ("detuning_recoils", _number, None, {}),
+    ("duration_s", _number, None, _POSITIVE),
+    ("relative_phase_rad", _number, 0.0, {}),
+    ("delay_after_s", _number, 0.0, _NON_NEGATIVE),
+    ("trap_on", _boolean, True, {}),
+)
+
+_TOP = (
+    ("schema_version", _integer, SCHEMA_VERSION, {}),
+    ("scenario", _choice, "custom", {"allowed": SCENARIOS}),
+    # None until normalize fills in runs/<scenario>
+    ("output_dir", _text, None, {}),
+    ("seed", _integer, 0, {"minimum": 0}),
+    ("atom", _object, (
+        ("mass_kg", _number, SODIUM_MASS_KG, _POSITIVE),
+        ("wavelength_m", _number, SODIUM_WAVELENGTH_M, _POSITIVE),
+    ), {}),
+    ("grid", _object, (
+        ("points_y", _power_of_two, 256, {}),
+        ("points_z", _power_of_two, 256, {}),
+        ("extent_y_m", _number, 160e-6, _POSITIVE),
+        ("extent_z_m", _number, 160e-6, _POSITIVE),
+        ("n_max", _integer, 3, {"minimum": 1, "maximum": 8}),
+    ), {}),
+    ("trap", _object, (
+        ("nu_y_hz", _number, 40.0 / math.sqrt(2.0), _NON_NEGATIVE),
+        ("nu_z_hz", _number, 40.0, _NON_NEGATIVE),
+    ), {}),
+    ("condensate", _object, (
+        ("profile", _choice, "thomas_fermi", {"allowed": _PROFILES}),
+        ("tf_radius_y_m", _tf_radius, 30e-6, dict(_POSITIVE, allow_none=True)),
+        ("g2d_j_m2", _number, None, dict(_POSITIVE, allow_none=True)),
+    ), {}),
+    ("beams", _beams, _BEAM, {}),
+    ("pulses", _pulses, _PULSE, {}),
+    ("imaging", _object, (
+        ("time_of_flight_s", _number, 6e-3, _NON_NEGATIVE),
+        ("meanfield_window_s", _number, 5e-4, _NON_NEGATIVE),
+        ("pixel_m", _number, 1.25e-6, _POSITIVE),
+        ("blur_sigma_m", _number, 0.0, _NON_NEGATIVE),
+        ("noise_rms", _number, 0.0, _NON_NEGATIVE),
+        ("pad_factor", _number, 2.0, {"minimum": 2.0}),
+    ), {}),
+    ("study", _object, (
+        ("n_trials", _integer, 18, {"minimum": 3}),
+        ("phases_rad", _numbers, None, {}),
+        ("annulus_inner_m", _number, 5e-6, _POSITIVE),
+        ("annulus_outer_m", _number, 12e-6, _POSITIVE),
+    ), {}),
+    ("sweep", _object, (
+        ("detuning_recoils_start", _number, 2.0, {}),
+        ("detuning_recoils_stop", _number, 6.0, {}),
+        ("points", _integer, 17, {"minimum": 2}),
+    ), {}),
+)
+
+
+def _beam_rules(beams: Mapping, pulses: list, problems: list) -> None:
+    for name, beam in beams.items():
+        if beam["kind"] == "gaussian" and beam["winding"] != 0:
+            problems.append(f"beams.{name}.winding: a gaussian beam carries "
+                            f"no winding (got {beam['winding']})")
+    for i, pulse in enumerate(pulses):
+        if pulse is None:
             continue
-        _reject_unknown(raw, _PULSE_KEYS, path, problems)
-        pulse = {}
         for role in ("absorb", "emit"):
-            name = raw.get(role)
+            name = pulse[role]
             if not isinstance(name, str) or name not in beams:
                 known = sorted(beams)
                 hint = _suggest(str(name), known) if known else ""
-                problems.append(f"{path}.{role}: references undefined beam "
-                                f"{name!r}{hint}")
-                name = None
-            pulse[role] = name
-        pulse["rabi_rate_rad_s"] = _number(raw, "rabi_rate_rad_s", path,
-                                           problems, None,
-                                           minimum=0.0, exclusive=True)
-        pulse["detuning_recoils"] = _number(raw, "detuning_recoils", path,
-                                            problems, None)
-        pulse["duration_s"] = _number(raw, "duration_s", path, problems,
-                                      None, minimum=0.0, exclusive=True)
-        pulse["relative_phase_rad"] = _number(raw, "relative_phase_rad",
-                                              path, problems, 0.0)
-        pulse["delay_after_s"] = _number(raw, "delay_after_s", path,
-                                         problems, 0.0, minimum=0.0)
-        pulse["trap_on"] = _boolean(raw, "trap_on", path, problems, True)
+                problems.append(f"pulses[{i}].{role}: references undefined "
+                                f"beam {name!r}{hint}")
+                pulse[role] = None
         a, b = pulse["absorb"], pulse["emit"]
         if a in beams and b in beams:
             step = beams[a]["winding"] - beams[b]["winding"]
             if abs(step) > MAX_WINDING:
-                problems.append(f"{path}: winding transfer {step} per pulse "
-                                f"exceeds |step| <= {MAX_WINDING}")
-        pulses.append(pulse)
-    return pulses
+                problems.append(f"pulses[{i}]: winding transfer {step} per "
+                                f"pulse exceeds |step| <= {MAX_WINDING}")
 
 
 def _scenario_rules(out: Mapping, problems: list) -> None:
@@ -272,156 +381,40 @@ def normalize(data) -> dict:
     Raises ConfigError listing every problem found; each message starts
     with the dotted path of the key it concerns.
     """
-    problems: list[str] = []
     if not isinstance(data, Mapping):
         raise ConfigError(["config root must be a JSON object"])
-    _reject_unknown(data, _TOP_KEYS, "", problems)
+    problems: list[str] = []
+    out = _fields(data, _TOP, "", problems)
 
     if "schema_version" not in data:
         problems.append("schema_version: missing (this tool writes "
                         f"schema_version {SCHEMA_VERSION})")
-    version = _integer(data, "schema_version", "", problems, SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        problems.append(f"schema_version: unsupported version {version} "
-                        f"(supported: {SCHEMA_VERSION})")
-
+    if out["schema_version"] != SCHEMA_VERSION:
+        problems.append("schema_version: unsupported version "
+                        f"{out['schema_version']} (supported: "
+                        f"{SCHEMA_VERSION})")
     if "scenario" not in data:
         problems.append(f"scenario: missing (one of {', '.join(SCENARIOS)})")
-    scenario = _choice(data, "scenario", "", problems, "custom", SCENARIOS)
-
-    output_dir = data.get("output_dir", f"runs/{scenario}")
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append(f"output_dir: expected a non-empty string, "
-                        f"got {output_dir!r}")
-        output_dir = f"runs/{scenario}"
-
-    atom = _section(data, "atom", problems)
-    _reject_unknown(atom, _ATOM_KEYS, "atom", problems)
-    grid = _section(data, "grid", problems)
-    _reject_unknown(grid, _GRID_KEYS, "grid", problems)
-    trap = _section(data, "trap", problems)
-    _reject_unknown(trap, _TRAP_KEYS, "trap", problems)
-    condensate = _section(data, "condensate", problems)
-    _reject_unknown(condensate, _CONDENSATE_KEYS, "condensate", problems)
-    imaging = _section(data, "imaging", problems)
-    _reject_unknown(imaging, _IMAGING_KEYS, "imaging", problems)
-    study = _section(data, "study", problems)
-    _reject_unknown(study, _STUDY_KEYS, "study", problems)
-    sweep = _section(data, "sweep", problems)
-    _reject_unknown(sweep, _SWEEP_KEYS, "sweep", problems)
-
-    beams_raw = data.get("beams", {})
-    if not isinstance(beams_raw, Mapping):
-        problems.append("beams: expected an object of named beams")
-        beams_raw = {}
-    beams = _normalize_beams(beams_raw, problems)
-    pulses = _normalize_pulses(data.get("pulses", []), beams, problems)
-
-    phases = study.get("phases_rad")
-    if phases is not None:
-        if (not isinstance(phases, Sequence) or isinstance(phases, (str, bytes))
-                or not all(isinstance(p, (int, float))
-                           and not isinstance(p, bool) for p in phases)):
-            problems.append("study.phases_rad: expected null or a list "
-                            "of numbers")
-            phases = None
-        else:
-            phases = [float(p) for p in phases]
-
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": scenario,
-        "output_dir": output_dir,
-        "seed": _integer(data, "seed", "", problems, 0, minimum=0),
-        "atom": {
-            "mass_kg": _number(atom, "mass_kg", "atom", problems,
-                               SODIUM_MASS_KG, minimum=0.0, exclusive=True),
-            "wavelength_m": _number(atom, "wavelength_m", "atom", problems,
-                                    SODIUM_WAVELENGTH_M,
-                                    minimum=0.0, exclusive=True),
-        },
-        "grid": {
-            "points_y": _power_of_two(grid, "points_y", "grid", problems, 256),
-            "points_z": _power_of_two(grid, "points_z", "grid", problems, 256),
-            "extent_y_m": _number(grid, "extent_y_m", "grid", problems,
-                                  160e-6, minimum=0.0, exclusive=True),
-            "extent_z_m": _number(grid, "extent_z_m", "grid", problems,
-                                  160e-6, minimum=0.0, exclusive=True),
-            "n_max": _integer(grid, "n_max", "grid", problems, 3,
-                              minimum=1, maximum=8),
-        },
-        "trap": {
-            "nu_y_hz": _number(trap, "nu_y_hz", "trap", problems,
-                               40.0 / math.sqrt(2.0), minimum=0.0),
-            "nu_z_hz": _number(trap, "nu_z_hz", "trap", problems, 40.0,
-                               minimum=0.0),
-        },
-        "condensate": {
-            "profile": _choice(condensate, "profile", "condensate", problems,
-                               "thomas_fermi", _PROFILES),
-            # a given g2d replaces the TF-radius parametrization entirely
-            "tf_radius_y_m": _number(condensate, "tf_radius_y_m",
-                                     "condensate", problems,
-                                     None if condensate.get("g2d_j_m2")
-                                     is not None else 30e-6,
-                                     minimum=0.0, exclusive=True,
-                                     allow_none=True),
-            "g2d_j_m2": _number(condensate, "g2d_j_m2", "condensate",
-                                problems, None, minimum=0.0, exclusive=True,
-                                allow_none=True),
-        },
-        "beams": beams,
-        "pulses": pulses,
-        "imaging": {
-            "time_of_flight_s": _number(imaging, "time_of_flight_s",
-                                        "imaging", problems, 6e-3,
-                                        minimum=0.0),
-            "meanfield_window_s": _number(imaging, "meanfield_window_s",
-                                          "imaging", problems, 5e-4,
-                                          minimum=0.0),
-            "pixel_m": _number(imaging, "pixel_m", "imaging", problems,
-                               1.25e-6, minimum=0.0, exclusive=True),
-            "blur_sigma_m": _number(imaging, "blur_sigma_m", "imaging",
-                                    problems, 0.0, minimum=0.0),
-            "noise_rms": _number(imaging, "noise_rms", "imaging", problems,
-                                 0.0, minimum=0.0),
-            "pad_factor": _number(imaging, "pad_factor", "imaging", problems,
-                                  2.0, minimum=2.0),
-        },
-        "study": {
-            "n_trials": _integer(study, "n_trials", "study", problems, 18,
-                                 minimum=3),
-            "phases_rad": phases,
-            "annulus_inner_m": _number(study, "annulus_inner_m", "study",
-                                       problems, 5e-6,
-                                       minimum=0.0, exclusive=True),
-            "annulus_outer_m": _number(study, "annulus_outer_m", "study",
-                                       problems, 12e-6,
-                                       minimum=0.0, exclusive=True),
-        },
-        "sweep": {
-            "detuning_recoils_start": _number(sweep, "detuning_recoils_start",
-                                              "sweep", problems, 2.0),
-            "detuning_recoils_stop": _number(sweep, "detuning_recoils_stop",
-                                             "sweep", problems, 6.0),
-            "points": _integer(sweep, "points", "sweep", problems, 17,
-                               minimum=2),
-        },
-    }
+    if out["output_dir"] is None:
+        out["output_dir"] = f"runs/{out['scenario']}"
 
     cond = out["condensate"]
     if (cond["tf_radius_y_m"] is None) == (cond["g2d_j_m2"] is None):
         problems.append("condensate: set exactly one of tf_radius_y_m and "
                         "g2d_j_m2 (the other null)")
-    if out["study"]["annulus_outer_m"] <= out["study"]["annulus_inner_m"]:
+    _beam_rules(out["beams"], out["pulses"], problems)
+    out["pulses"] = [p for p in out["pulses"] if p is not None]
+    study = out["study"]
+    if study["annulus_outer_m"] <= study["annulus_inner_m"]:
         problems.append("study.annulus_outer_m: must exceed annulus_inner_m")
     if (out["sweep"]["detuning_recoils_stop"]
             <= out["sweep"]["detuning_recoils_start"]):
         problems.append("sweep.detuning_recoils_stop: must exceed "
                         "detuning_recoils_start")
-    if phases is not None and len(phases) != out["study"]["n_trials"]:
+    phases = study["phases_rad"]
+    if phases is not None and len(phases) != study["n_trials"]:
         problems.append(f"study.phases_rad: {len(phases)} phases for "
-                        f"{out['study']['n_trials']} trials")
+                        f"{study['n_trials']} trials")
     _scenario_rules(out, problems)
 
     if problems:
@@ -510,30 +503,22 @@ class ExperimentConfig:
             ground = relax_ground_state(ground, trap, g2d)
         return ground
 
-    def beam_spec(self, name: str, extra_phase_rad: float = 0.0) -> BeamSpec:
+    def beam_spec(self, name: str) -> BeamSpec:
         b = self.data["beams"][name]
         return BeamSpec(b["kind"], b["waist_m"], winding=b["winding"],
-                        power_w=b["power_w"],
-                        phase=b["phase_rad"] + extra_phase_rad)
-
-    def pulse_spec(self, index: int, grid: Grid2D,
-                   absorb_phase_rad: float = 0.0) -> PulseSpec:
-        """Pulse `index` as configured, with its delay and trap setting,
-        optionally with an extra phase on the absorbed beam."""
-        p = self.data["pulses"][index]
-        coupling = coupling_map(self.beam_spec(p["absorb"], absorb_phase_rad),
-                                self.beam_spec(p["emit"]),
-                                p["rabi_rate_rad_s"],
-                                p["relative_phase_rad"], grid)
-        return PulseSpec(coupling, p["detuning_recoils"], p["duration_s"],
-                         trap_on=p["trap_on"],
-                         delay_after_s=p["delay_after_s"])
+                        power_w=b["power_w"], phase=b["phase_rad"])
 
     def pulses(self, grid: Grid2D) -> tuple[PulseSpec, ...]:
-        """The configured pulse sequence; the last pulse's delay_after_s is
-        the hold before imaging."""
-        return tuple(self.pulse_spec(i, grid)
-                     for i in range(len(self.data["pulses"])))
+        """The configured pulse sequence, one coupling_map per pulse; the
+        last pulse's delay_after_s is the hold before imaging."""
+        return tuple(
+            PulseSpec(coupling_map(self.beam_spec(p["absorb"]),
+                                   self.beam_spec(p["emit"]),
+                                   p["rabi_rate_rad_s"],
+                                   p["relative_phase_rad"], grid),
+                      p["detuning_recoils"], p["duration_s"],
+                      trap_on=p["trap_on"], delay_after_s=p["delay_after_s"])
+            for p in self.data["pulses"])
 
     def sweep_detunings(self) -> list[float]:
         s = self.data["sweep"]

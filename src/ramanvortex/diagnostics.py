@@ -19,7 +19,7 @@ import scipy.fft
 
 from .errors import (AmbiguousHoleError, ContrastError, DensityFloorError,
                      SimulationError)
-from .grid import Grid2D, TransverseField, bilinear_sample
+from .grid import Grid2D, TransverseField, ring_samples
 from .imaging import ImagePlane
 
 DENSITY_FLOOR_FRACTION = 1e-6
@@ -51,11 +51,8 @@ def _loop_phases(field_values, grid: Grid2D, loop_radius_m: float,
     if n_samples < MIN_LOOP_SAMPLES:
         raise SimulationError(
             f"winding loop needs >= {MIN_LOOP_SAMPLES} samples")
-    scale = grid.units.length_m
-    angles = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    y = (center_m[0] + loop_radius_m * np.cos(angles)) / scale
-    z = (center_m[1] + loop_radius_m * np.sin(angles)) / scale
-    samples = bilinear_sample(field_values, grid.y, grid.z, y, z)
+    _, samples = ring_samples(field_values, grid, loop_radius_m, n_samples,
+                              center_m)
     floor = DENSITY_FLOOR_FRACTION * float(np.abs(field_values).max()) ** 2
     weakest = float(np.abs(samples).min()) ** 2
     if weakest < floor:

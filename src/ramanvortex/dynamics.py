@@ -42,9 +42,9 @@ import numpy as np
 from .condensate import GroundState, TrapSpec
 from .errors import (CalibrationError, SimulationError, StepSizeError,
                      TruncationError)
-from .grid import (MAX_PHASE_PER_STEP, LadderState, TransverseField,
-                   _axial_phase, _strang_evolve)
-from .optics import CouplingMap
+from .grid import (MAX_PHASE_PER_STEP, LadderState, _axial_phase,
+                   _strang_evolve)
+from .optics import CouplingMap, scaled_coupling
 
 # Hard cap on the internal step.  Measured L2 error of the state after a
 # 30 us, 2e4 rad/s LG x Gaussian pulse at 128^2 with the trap on, against
@@ -269,13 +269,6 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
     return current, log
 
 
-def _rescaled(coupling: CouplingMap, peak_rate_rad_s: float) -> CouplingMap:
-    scale = peak_rate_rad_s / coupling.peak_rate_rad_s
-    return CouplingMap(
-        TransverseField(coupling.omega.grid, coupling.omega.values * scale),
-        coupling.oam_step, peak_rate_rad_s)
-
-
 def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
                        delta_nu_recoils: float, duration_s: float,
                        trap: TrapSpec, g2d_j_m2: float, n_max: int = 3,
@@ -297,7 +290,8 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
     initial = LadderState.from_single_order(state.field, n_max)
 
     def transfer(rate: float) -> float:
-        pulse = PulseSpec(_rescaled(coupling_shape, rate),
+        scale = rate / coupling_shape.peak_rate_rad_s
+        pulse = PulseSpec(scaled_coupling(coupling_shape, scale),
                           delta_nu_recoils, duration_s)
         return evolve_pulse(initial, pulse, trap, g2d_j_m2).population(1)
 

@@ -65,8 +65,8 @@ class Grid2D:
                  units: UnitSystem):
         if not _is_power_of_two(n_y) or not _is_power_of_two(n_z):
             raise ValueError(f"grid sizes must be powers of two, got {n_y} x {n_z}")
-        if extent_y_m <= 0.0 or extent_z_m <= 0.0:
-            raise ValueError("grid extents must be positive")
+        if not (0.0 < extent_y_m < math.inf and 0.0 < extent_z_m < math.inf):
+            raise ValueError("grid extents must be finite and positive")
         self.n_y = int(n_y)
         self.n_z = int(n_z)
         self.extent_y_m = float(extent_y_m)
@@ -90,13 +90,10 @@ class Grid2D:
         kz = 2.0 * math.pi * np.fft.fftfreq(self.n_z, d=self.dz)
         self.k_y = ky
         self.k_z = kz
-        mesh_kz, mesh_ky = np.meshgrid(kz, ky, indexing="ij")
-        self.mesh_ky = mesh_ky
-        self.mesh_kz = mesh_kz
-        self.mesh_ksq = mesh_ky**2 + mesh_kz**2
+        self.mesh_ksq = ky[None, :] ** 2 + kz[:, None] ** 2
 
         for arr in (self.y_m, self.z_m, self.y, self.z, self.mesh_y, self.mesh_z,
-                    self.k_y, self.k_z, self.mesh_ky, self.mesh_kz, self.mesh_ksq):
+                    self.k_y, self.k_z, self.mesh_ksq):
             arr.flags.writeable = False
 
     @property
@@ -341,6 +338,19 @@ def bilinear_sample(values: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray,
     v11 = values[iz0 + 1, iy0 + 1]
     return ((1 - tz) * ((1 - ty) * v00 + ty * v01)
             + tz * ((1 - ty) * v10 + ty * v11))
+
+
+def ring_samples(values: np.ndarray, grid: Grid2D, radius_m: float,
+                 n_samples: int, center_m: tuple[float, float] = (0.0, 0.0)
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear samples of values[iz, iy] at n_samples equally spaced
+    angles on the circle of radius_m about center_m; returns (angles,
+    samples)."""
+    scale = grid.units.length_m
+    angles = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+    y = (center_m[0] + radius_m * np.cos(angles)) / scale
+    z = (center_m[1] + radius_m * np.sin(angles)) / scale
+    return angles, bilinear_sample(values, grid.y, grid.z, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class ImagePlane:
             raise SimulationError("image pixels must be 2D")
         if not np.all(np.isfinite(px)) or np.any(px < 0.0):
             raise SimulationError("image pixels must be finite and nonnegative")
-        if self.pitch_m <= 0.0:
-            raise SimulationError("pixel pitch must be positive")
+        if not 0.0 < self.pitch_m < math.inf:
+            raise SimulationError("pixel pitch must be finite and positive")
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)

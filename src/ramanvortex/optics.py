@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .grid import Grid2D, TransverseField, bilinear_sample
+from .grid import Grid2D, TransverseField, ring_samples
 from .imaging import ImagePlane, _require_square_pixels
 
 # Highest supported azimuthal index; the momentum ladder bookkeeping tracks
@@ -43,8 +43,8 @@ class BeamSpec:
     def __post_init__(self):
         if self.kind not in ("lg", "gaussian"):
             raise SimulationError(f"unknown beam kind {self.kind!r}")
-        if self.waist_m <= 0.0:
-            raise SimulationError("beam waist must be positive")
+        if not 0.0 < self.waist_m < math.inf:
+            raise SimulationError("beam waist must be finite and positive")
         if self.kind == "gaussian" and self.winding != 0:
             raise SimulationError("a Gaussian beam has no phase winding")
         if abs(self.winding) > MAX_WINDING:
@@ -95,7 +95,7 @@ class CouplingMap:
 
     omega holds the complex rate in rad/s; its phase winds oam_step times
     about the beam axis, which is the winding handed to an atom on each
-    upward ladder step.  max |omega| equals peak_rate_rad_s exactly.
+    upward ladder step.  max |omega| equals peak_rate_rad_s to rounding.
     """
 
     omega: TransverseField
@@ -103,8 +103,8 @@ class CouplingMap:
     peak_rate_rad_s: float
 
     def __post_init__(self):
-        if self.peak_rate_rad_s <= 0.0:
-            raise SimulationError("peak Rabi rate must be positive")
+        if not 0.0 < self.peak_rate_rad_s < math.inf:
+            raise SimulationError("peak Rabi rate must be finite and positive")
         if abs(self.oam_step) > MAX_WINDING:
             raise SimulationError(
                 f"|oam_step| <= {MAX_WINDING} supported, got {self.oam_step}")
@@ -133,6 +133,17 @@ def coupling_map(beam_a: BeamSpec, beam_b: BeamSpec, peak_rate_rad_s: float,
     return CouplingMap(TransverseField(grid, omega), step, peak_rate_rad_s)
 
 
+def scaled_coupling(coupling: CouplingMap, factor: complex) -> CouplingMap:
+    """The same map times a constant factor.
+
+    |factor| scales the peak rate; arg(factor) turns the phase of omega,
+    which is what a phase of arg(factor) on the absorbed beam does.
+    """
+    return CouplingMap(
+        TransverseField(coupling.omega.grid, coupling.omega.values * factor),
+        coupling.oam_step, coupling.peak_rate_rad_s * abs(factor))
+
+
 def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D,
                      oam_step: int = 0, rel_phase: float = 0.0) -> CouplingMap:
     """Constant-over-the-grid coupling: the plane-wave textbook limit."""
@@ -149,10 +160,7 @@ def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D, radius_m: float,
     Intensity-weighted circular mean, exact for a single sinusoidal lobe;
     returns 0.0 for an angularly flat ring (no lobe to point at).
     """
-    r = radius_m / grid.units.length_m
-    phi = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    ring = bilinear_sample(intensity, grid.y, grid.z,
-                           r * np.cos(phi), r * np.sin(phi))
+    phi, ring = ring_samples(intensity, grid, radius_m, n_samples)
     resultant = np.sum(ring * np.exp(1j * phi))
     if abs(resultant) < 1e-9 * max(ring.sum(), 1e-300):
         return 0.0

@@ -5,7 +5,9 @@ writes a deterministic bundle into the output directory: 16-bit PGM images
 with text sidecars, delimited tables (per-pulse populations, study and
 sweep tables), binary field dumps of the populated orders, the normalized
 config echo, and a key/value machine summary.  With a fixed config and
-single-threaded execution the bundle is bit-identical across runs.
+single-threaded execution the bundle is bit-identical across runs.  Every
+scenario takes its pulses from ``ExperimentConfig.pulses``; the sweep and
+the phase study vary that sequence rather than rebuilding pulses.
 
 Scenario shapes:
   single_vortex    pulse sequence, vortex diagnostics on order +1, TOF.
@@ -13,9 +15,11 @@ Scenario shapes:
                    +1 image is compared against the analytic two-lobe
                    pattern built from its own radial profile.
   phase_coherence  the configured two-pulse sequence once per study phase,
-                   the phase added to the imprinting beam; each trial's
-                   in-trap hole angle is fitted against its phase, and
-                   trial 0's final state gives the images and populations.
+                   pulse 0's coupling turned by the phase (a phase on the
+                   imprinting beam), the optical readout taken at the same
+                   relative phase; each trial's in-trap hole angle is
+                   fitted against its phase, and trial 0's final state
+                   gives the images and populations.
   double_charge    vortex diagnostics on order +2 taken before the final
                    pulse (the interference readout), then the readout and
                    the comparison against the two-profile pattern.
@@ -45,7 +49,7 @@ from .errors import SimulationError
 from .grid import Grid2D, LadderState, save_field, write_sidecar
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
                       radial_profile, time_of_flight, write_pgm)
-from .optics import phase_readout_pattern
+from .optics import phase_readout_pattern, scaled_coupling
 from .units import UnitSystem
 
 logger = logging.getLogger("ramanvortex.scenarios")
@@ -446,23 +450,25 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
     if phases is None:
         phases = [2.0 * math.pi * k / n_trials for k in range(n_trials)]
     first = cfg.data["pulses"][0]
+    lg = cfg.beam_spec(first["absorb"])
     emit = cfg.beam_spec(first["emit"])
     pulses = cfg.pulses(ctx.grid)
     initial = ctx.initial_state()
 
-    # each trial is the configured sequence with the trial phase added to
-    # the imprinting beam; trial 0 is also the imaged trial
+    # each trial is the configured sequence with pulse 0's coupling turned
+    # by the trial phase, which is a phase on the imprinting beam; trial 0
+    # is also the imaged trial
     logger.info("running %d phase trials", n_trials)
     holes, readouts = [], []
     for trial, phase in enumerate(phases):
-        trial_first = cfg.pulse_spec(0, ctx.grid, absorb_phase_rad=phase)
-        state, log = run_sequence(initial, (trial_first,) + pulses[1:],
+        turned = replace(pulses[0], coupling=scaled_coupling(
+            pulses[0].coupling, np.exp(1j * phase)))
+        state, log = run_sequence(initial, (turned,) + pulses[1:],
                                   ctx.trap, ctx.g2d_j_m2)
         holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
                                       label="hole_image"))
         readout_image, readout_angle = phase_readout_pattern(
-            cfg.beam_spec(first["absorb"], extra_phase_rad=phase), emit,
-            0.0, ctx.grid)
+            lg, emit, phase, ctx.grid)
         readouts.append(readout_angle)
         if trial == 0:
             imaged, imaged_log, imaged_readout = state, log, readout_image

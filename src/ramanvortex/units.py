@@ -33,10 +33,10 @@ class PhysicalParams:
     wavelength_m: float
 
     def __post_init__(self):
-        if self.atomic_mass_kg <= 0.0:
-            raise ValueError("atomic_mass_kg must be positive")
-        if self.wavelength_m <= 0.0:
-            raise ValueError("wavelength_m must be positive")
+        if not 0.0 < self.atomic_mass_kg < math.inf:
+            raise ValueError("atomic_mass_kg must be finite and positive")
+        if not 0.0 < self.wavelength_m < math.inf:
+            raise ValueError("wavelength_m must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,6 @@ class UnitSystem:
     # Frequencies (Hz) to multiples of the recoil frequency
     def frequency_to_recoils(self, nu_hz: float) -> float:
         return nu_hz / self.recoil_frequency_hz
-
-    def frequency_to_si(self, nu_recoils: float) -> float:
-        return nu_recoils * self.recoil_frequency_hz
 
     # Angular rates (rad/s) to phase per internal time
     def rate_to_internal(self, omega_rad_s: float) -> float:

@@ -85,6 +85,13 @@ class TestValidate:
         assert run_cli(["validate", "-q", config]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_non_finite_study_phase_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "nan.json",
+                              study={"n_trials": 3,
+                                     "phases_rad": [float("nan"), 1.0, 2.0]})
+        assert run_cli(["validate", config]) == 2
+        assert "study.phases_rad[0]: must be finite" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -2,13 +2,19 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from ramanvortex import config as config_module
 from ramanvortex.condensate import g2d_from_tf_radius
 from ramanvortex.config import (SCHEMA_VERSION, SCENARIOS, ExperimentConfig,
                                 dumps, load_config, loads, normalize)
 from ramanvortex.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def minimal(scenario="custom", **overrides):
@@ -134,6 +140,16 @@ class TestNormalize:
         data = minimal(study={"n_trials": 4, "phases_rad": [0.0, 1.0]})
         assert any("2 phases for 4 trials" in p for p in problems_of(data))
 
+    def test_phases_must_be_finite(self):
+        text = json.dumps(minimal(study={"n_trials": 4, "phases_rad": [
+            math.nan, 1.0, math.inf, -math.inf]}))
+        with pytest.raises(ConfigError) as info:
+            loads(text)
+        assert info.value.problems == [
+            "study.phases_rad[0]: must be finite",
+            "study.phases_rad[2]: must be finite",
+            "study.phases_rad[3]: must be finite"]
+
     def test_annulus_and_sweep_ordering(self):
         data = minimal(study={"annulus_inner_m": 1e-5,
                               "annulus_outer_m": 5e-6},
@@ -221,12 +237,38 @@ class TestMaterialization:
         points = cfg.sweep_detunings()
         assert points == [2.0, 3.0, 4.0, 5.0, 6.0]
 
-    def test_beam_spec_extra_phase_adds(self):
+    def test_beam_spec_reads_phase_rad(self):
         cfg = self.make_config()
-        spec = cfg.beam_spec("lg", extra_phase_rad=0.25)
-        assert spec.phase == pytest.approx(0.25)
+        cfg.data["beams"]["lg"]["phase_rad"] = 0.25
+        spec = cfg.beam_spec("lg")
+        assert spec.phase == 0.25
         assert spec.winding == 1
 
     def test_empty_custom_sequence(self):
         cfg = ExperimentConfig.from_mapping(minimal())
         assert cfg.pulses(cfg.make_grid()) == ()
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.name)
+def test_preset_loads_normalizes_to_itself_and_builds_pulses(path):
+    echo = load_config(path)
+    assert normalize(json.loads(dumps(echo))) == echo
+    cfg = ExperimentConfig(echo)
+    pulses = cfg.pulses(cfg.make_grid())
+    assert len(pulses) == len(echo["pulses"]) > 0
+
+
+def _table_keys(table):
+    for key, _reader, default, _limits in table:
+        yield key
+        if isinstance(default, tuple):
+            yield from _table_keys(default)
+
+
+def test_readme_schema_block_names_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config schema", 1)[1]
+    block = section.split("```", 2)[1]
+    missing = [key for key in _table_keys(config_module._TOP)
+               if not re.search(rf"\b{re.escape(key)}\b", block)]
+    assert missing == []

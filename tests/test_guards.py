@@ -1,0 +1,38 @@
+"""Constructor guards trip on NaN and inf, not only on values out of range."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
+from ramanvortex.errors import SimulationError
+from ramanvortex.grid import Grid2D, TransverseField
+from ramanvortex.imaging import ImagePlane
+from ramanvortex.optics import BeamSpec, CouplingMap
+from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
+                               PhysicalParams)
+
+# each builds one object from a single bad value x
+CONSTRUCTORS = {
+    "trap_nu_y": lambda x, units: TrapSpec(x, 40.0),
+    "trap_nu_z": lambda x, units: TrapSpec(40.0, x),
+    "beam_waist": lambda x, units: BeamSpec("gaussian", x),
+    "atom_mass": lambda x, units: PhysicalParams(x, SODIUM_WAVELENGTH_M),
+    "wavelength": lambda x, units: PhysicalParams(SODIUM_MASS_KG, x),
+    "grid_extent_y": lambda x, units: Grid2D(32, 32, x, 160e-6, units),
+    "grid_extent_z": lambda x, units: Grid2D(32, 32, 160e-6, x, units),
+    "coupling_peak": lambda x, units: CouplingMap(
+        TransverseField(Grid2D(32, 32, 160e-6, 160e-6, units),
+                        np.ones((32, 32), dtype=complex)), 0, x),
+    "image_pitch": lambda x, units: ImagePlane(np.ones((4, 4)), x),
+    "tf_radius": lambda x, units: g2d_from_tf_radius(TrapSpec(40.0, 40.0),
+                                                     x, units),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_non_finite_input_rejected(name, bad, units):
+    with pytest.raises((ValueError, SimulationError)):
+        CONSTRUCTORS[name](bad, units)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramanvortex import config as config_module
 from ramanvortex import dynamics
 from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle
@@ -260,6 +261,26 @@ class TestPhaseCoherence:
         lines = table.strip().split("\n")
         assert len(lines) == 5
         assert "hole_angle_rad" in lines[0].split("\t")
+
+    def test_trials_turn_the_configured_couplings(self, tmp_path,
+                                                  monkeypatch):
+        # one coupling_map per configured pulse, however many trials run
+        config = small("phase_coherence", [
+            vortex_pulse(),
+            {"absorb": "wide", "emit": "g", "rabi_rate_rad_s": 7.0e4,
+             "detuning_recoils": 4.0, "duration_s": 1.5e-5},
+        ], tmp_path, study={"n_trials": 3},
+            imaging={"time_of_flight_s": 0.0})
+        calls = []
+        coupling_map = config_module.coupling_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return coupling_map(*args, **kwargs)
+
+        monkeypatch.setattr(config_module, "coupling_map", counting)
+        run_scenario(config)
+        assert len(calls) == 2
 
     def test_study_row_zero_is_the_imaged_trial(self, tmp_path, monkeypatch):
         # configured phases and delays must reach every trial, so the
