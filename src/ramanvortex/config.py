@@ -69,6 +69,15 @@ def _reject_unknown(data: Mapping, allowed, path: str, problems: list) -> None:
                             f"{_suggest(str(key), allowed)}")
 
 
+def _float(value) -> float:
+    """float(value), with a JSON integer beyond float range read as inf so
+    that the finiteness check reports it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 # Readers.  Each takes (data, key, path, problems, default, **limits),
 # reports what is wrong with data[key] and returns the value to echo.
 
@@ -87,7 +96,7 @@ def _number(data: Mapping, key: str, path: str, problems: list, default,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{where}: expected a number, got {value!r}")
         return default
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         problems.append(f"{where}: must be finite")
         return default
@@ -112,7 +121,7 @@ def _numbers(data: Mapping, key: str, path: str, problems: list, default):
                        and not isinstance(v, bool) for v in value)):
         problems.append(f"{where}: expected null or a list of numbers")
         return None
-    values = [float(v) for v in value]
+    values = [_float(v) for v in value]
     bad = [i for i, v in enumerate(values) if not math.isfinite(v)]
     for i in bad:
         problems.append(f"{_join(where, i)}: must be finite")

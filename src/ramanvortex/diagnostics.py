@@ -46,8 +46,9 @@ class VortexReport:
 
 def _loop_phases(field_values, grid: Grid2D, loop_radius_m: float,
                  center_m: tuple[float, float], n_samples: int) -> np.ndarray:
-    if loop_radius_m <= 0.0:
-        raise SimulationError("loop radius must be positive")
+    if not 0.0 < loop_radius_m < math.inf:
+        raise SimulationError(
+            f"loop radius {loop_radius_m} m is not finite and > 0")
     if n_samples < MIN_LOOP_SAMPLES:
         raise SimulationError(
             f"winding loop needs >= {MIN_LOOP_SAMPLES} samples")

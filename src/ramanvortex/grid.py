@@ -153,8 +153,8 @@ class TransverseField:
 
     def normalized(self) -> "TransverseField":
         n = self.norm()
-        if n <= 0.0:
-            raise SimulationError("cannot normalize an empty field")
+        if not 0.0 < n < math.inf:
+            raise SimulationError(f"cannot normalize a field of norm {n}")
         return TransverseField(self.grid, self.values / math.sqrt(n))
 
 
@@ -312,8 +312,9 @@ def bilinear_sample(values: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray,
                     y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of values[iz, iy] at points (y, z).
 
-    Axes must be uniform ascending. Points outside the axes raise, since
-    every caller is expected to keep its loops inside the grid.
+    Axes must be uniform ascending. Points outside the axes or not finite
+    raise, since every caller is expected to keep its loops inside the
+    grid.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -322,10 +323,12 @@ def bilinear_sample(values: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray,
     fy = (y - y_axis[0]) / dy
     fz = (z - z_axis[0]) / dz
     # Tolerate float rounding for points sitting exactly on the last sample.
+    # Written as not (a <= x <= b) so that NaN points raise too.
     tol = 1e-9
-    if (fy.min() < -tol or fy.max() > len(y_axis) - 1 + tol
-            or fz.min() < -tol or fz.max() > len(z_axis) - 1 + tol):
-        raise SimulationError("sample points fall outside the grid")
+    if not (-tol <= fy.min() and fy.max() <= len(y_axis) - 1 + tol
+            and -tol <= fz.min() and fz.max() <= len(z_axis) - 1 + tol):
+        raise SimulationError(
+            "sample points fall outside the grid or are not finite")
     fy = np.clip(fy, 0.0, len(y_axis) - 1)
     fz = np.clip(fz, 0.0, len(z_axis) - 1)
     iy0 = np.clip(np.floor(fy).astype(int), 0, len(y_axis) - 2)

@@ -225,8 +225,8 @@ def absorption_image(state: LadderState, select, pitch_m: float,
         dens = np.sum(np.abs(stack) ** 2, axis=0)
 
     grid = state.grid
-    if pitch_m <= 0.0:
-        raise SimulationError("pixel pitch must be positive")
+    if not 0.0 < pitch_m < math.inf:
+        raise SimulationError(f"pixel pitch {pitch_m} m is not finite and > 0")
     same_pitch = (math.isclose(pitch_m, grid.pitch_y_m, rel_tol=1e-12)
                   and math.isclose(pitch_m, grid.pitch_z_m, rel_tol=1e-12))
     if same_pitch:

@@ -19,7 +19,10 @@ Scenario shapes:
                    imprinting beam), the optical readout taken at the same
                    relative phase; each trial's in-trap hole angle is
                    fitted against its phase, and trial 0's final state
-                   gives the images and populations.
+                   gives the images and populations.  Pulse 0 and its
+                   delay run once, at trial 0's phase phi_0; trial k
+                   starts pulse 1 from that state with order n turned by
+                   e^{i n (phi_k - phi_0)}.
   double_charge    vortex diagnostics on order +2 taken before the final
                    pulse (the interference readout), then the readout and
                    the comparison against the two-profile pattern.
@@ -457,21 +460,29 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
 
     # each trial is the configured sequence with pulse 0's coupling turned
     # by the trial phase, which is a phase on the imprinting beam; trial 0
-    # is also the imaged trial
+    # is also the imaged trial.  Pulse 0 acts on the pure n = 0 ground
+    # state, so by phase covariance of the ladder turning it by phi turns
+    # order n by e^{i n phi}, and its delay is diagonal in the orders:
+    # pulse 0 and its delay run once, and each trial turns that state.
+    turned = replace(pulses[0], coupling=scaled_coupling(
+        pulses[0].coupling, np.exp(1j * phases[0])))
+    imprinted, imprint_log = run_sequence(initial, (turned,), ctx.trap,
+                                          ctx.g2d_j_m2)
+    orders = np.arange(-cfg.n_max, cfg.n_max + 1)
     logger.info("running %d phase trials", n_trials)
     holes, readouts = [], []
     for trial, phase in enumerate(phases):
-        turned = replace(pulses[0], coupling=scaled_coupling(
-            pulses[0].coupling, np.exp(1j * phase)))
-        state, log = run_sequence(initial, (turned,) + pulses[1:],
-                                  ctx.trap, ctx.g2d_j_m2)
+        turn = np.exp(1j * orders * (phase - phases[0]))[:, None, None]
+        start = LadderState(ctx.grid, cfg.n_max, imprinted.values * turn)
+        state, log = run_sequence(start, pulses[1:], ctx.trap, ctx.g2d_j_m2)
         holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
                                       label="hole_image"))
         readout_image, readout_angle = phase_readout_pattern(
             lg, emit, phase, ctx.grid)
         readouts.append(readout_angle)
         if trial == 0:
-            imaged, imaged_log, imaged_readout = state, log, readout_image
+            imaged, imaged_log = state, imprint_log + log
+            imaged_readout = readout_image
 
     result = phase_correlation_study(
         phases, holes, readouts,

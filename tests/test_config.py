@@ -150,6 +150,18 @@ class TestNormalize:
             "study.phases_rad[2]: must be finite",
             "study.phases_rad[3]: must be finite"]
 
+    def test_integer_beyond_float_range_is_not_finite(self):
+        # JSON writes a Python int as its digits, 1 followed by 400 zeros
+        huge = 10 ** 400
+        text = json.dumps(minimal(grid={"extent_y_m": huge},
+                                  study={"n_trials": 3,
+                                         "phases_rad": [0.0, huge, 2.0]}))
+        with pytest.raises(ConfigError) as info:
+            loads(text)
+        assert info.value.problems == [
+            "grid.extent_y_m: must be finite",
+            "study.phases_rad[1]: must be finite"]
+
     def test_annulus_and_sweep_ordering(self):
         data = minimal(study={"annulus_inner_m": 1e-5,
                               "annulus_outer_m": 5e-6},

@@ -1,4 +1,4 @@
-"""Constructor guards trip on NaN and inf, not only on values out of range."""
+"""Guards trip on NaN and inf, not only on values out of range."""
 
 import math
 
@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
+from ramanvortex.diagnostics import vortex_report
 from ramanvortex.errors import SimulationError
-from ramanvortex.grid import Grid2D, TransverseField
-from ramanvortex.imaging import ImagePlane
+from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
+                              bilinear_sample)
+from ramanvortex.imaging import ImagePlane, absorption_image
 from ramanvortex.optics import BeamSpec, CouplingMap
 from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
                                PhysicalParams)
@@ -36,3 +38,27 @@ CONSTRUCTORS = {
 def test_non_finite_input_rejected(name, bad, units):
     with pytest.raises((ValueError, SimulationError)):
         CONSTRUCTORS[name](bad, units)
+
+
+def _field(units, value=1.0):
+    grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+    return TransverseField(grid, np.full(grid.shape, value, dtype=complex))
+
+
+# each calls one function on a single bad value x; none may end in the
+# bare ValueError of converting NaN to an index
+CALLS = {
+    "normalize_field": lambda x, units: _field(units, x).normalized(),
+    "bilinear_point": lambda x, units: bilinear_sample(
+        np.ones((4, 4)), np.arange(4.0), np.arange(4.0), [x], [1.0]),
+    "vortex_loop_radius": lambda x, units: vortex_report(_field(units), x),
+    "image_pitch_m": lambda x, units: absorption_image(
+        LadderState.from_single_order(_field(units), 1), (0,), x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_non_finite_argument_raises_simulation_error(name, bad, units):
+    with pytest.raises(SimulationError):
+        CALLS[name](bad, units)

@@ -10,7 +10,9 @@ global coupling phase (omega e^{i phi} acting on psi_n e^{i n phi} gives
 e^{i n phi} times the result for omega on psi: the phase coherence of
 the transfer) and maps to itself under n -> -n with delta -> -delta and
 omega -> conj(omega).  rho and the split step counts are invariant under
-all three, so each holds for the discretised pulse to rounding.
+all three, so each holds for the discretised pulse to rounding.  Free
+evolution (a pulse's delay) is diagonal in the orders, so it commutes
+with the order phases e^{i n phi}, trap on or off.
 """
 
 import math
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
-from ramanvortex.dynamics import PulseSpec, evolve_pulse
+from ramanvortex.dynamics import PulseSpec, evolve_free, evolve_pulse
 from ramanvortex.grid import Grid2D, LadderState, TransverseField
 from ramanvortex.optics import BeamSpec, CouplingMap, coupling_map
 
@@ -105,6 +107,19 @@ def test_coupling_phase_is_carried_by_the_orders(grids, g2d, n, rate,
                                          delta, DURATION_S), TRAP, g2d)
     shifted = evolve_pulse(turned, PulseSpec(vortex_coupling(grid, rate, phi),
                                              delta, DURATION_S), TRAP, g2d)
+    assert distance(shifted, base.values * turn) <= TOLERANCE
+
+
+@PROPERTY_SETTINGS
+@given(n=points, phi=phases, w=weights, trap_on=st.booleans())
+def test_free_evolution_keeps_order_phases(grids, g2d, n, phi, w, trap_on):
+    grid = grids[n]
+    state = packet(grid, w)
+    turn = order_phases(N_MAX, phi)
+    turned = LadderState(grid, N_MAX, state.values * turn)
+    trap = TRAP if trap_on else None
+    base = evolve_free(state, DURATION_S, trap, g2d)
+    shifted = evolve_free(turned, DURATION_S, trap, g2d)
     assert distance(shifted, base.values * turn) <= TOLERANCE
 
 

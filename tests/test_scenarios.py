@@ -2,18 +2,20 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ramanvortex import config as config_module
-from ramanvortex import dynamics
+from ramanvortex import dynamics, scenarios
 from ramanvortex.config import ExperimentConfig
-from ramanvortex.diagnostics import hole_angle
+from ramanvortex.diagnostics import hole_angle, phase_correlation_study
 from ramanvortex.dynamics import run_sequence
 from ramanvortex.grid import LadderState, load_field, read_sidecar
-from ramanvortex.imaging import read_pgm
+from ramanvortex.imaging import absorption_image, read_pgm
+from ramanvortex.optics import phase_readout_pattern, scaled_coupling
 from ramanvortex.scenarios import run_scenario
 
 BEAMS = {
@@ -302,7 +304,8 @@ class TestPhaseCoherence:
 
         monkeypatch.setattr(dynamics, "evolve_pulse", counting)
         result = run_scenario(config)
-        assert len(pulses) == 2 * 3
+        # pulse 0 runs once for all trials, pulse 1 once per trial
+        assert len(pulses) == 3 + 1
 
         out = Path(result.output_dir)
         row = (out / "study_table.tsv").read_text().split("\n")[1].split("\t")
@@ -314,3 +317,72 @@ class TestPhaseCoherence:
             assert abs(wrapped) < 1e-3
         assert float(row[2]) == pytest.approx(
             result.summary["trial_0_readout_angle_rad"], abs=1e-9)
+
+
+def reference_phase_trials(cfg: ExperimentConfig):
+    """The phase study's per-trial loop before pulse 0 ran once: every
+    trial runs the whole configured sequence with pulse 0's coupling
+    turned by its phase.  Returns each trial's final state and the study."""
+    grid = cfg.make_grid()
+    study = cfg.data["study"]
+    phases = study["phases_rad"]
+    first = cfg.data["pulses"][0]
+    lg = cfg.beam_spec(first["absorb"])
+    emit = cfg.beam_spec(first["emit"])
+    pulses = cfg.pulses(grid)
+    initial = LadderState.from_single_order(cfg.ground_state(grid).field,
+                                            cfg.n_max)
+
+    states, holes, readouts = [], [], []
+    for phase in phases:
+        turned = replace(pulses[0], coupling=scaled_coupling(
+            pulses[0].coupling, np.exp(1j * phase)))
+        state, _ = run_sequence(initial, (turned,) + pulses[1:],
+                                cfg.trap(), cfg.g2d_j_m2(grid.units))
+        states.append(state)
+        holes.append(absorption_image(state, (0, 1), grid.pitch_y_m,
+                                      label="hole_image"))
+        readouts.append(phase_readout_pattern(lg, emit, phase, grid)[1])
+    result = phase_correlation_study(
+        phases, holes, readouts,
+        (study["annulus_inner_m"], study["annulus_outer_m"]))
+    return states, result
+
+
+class TestPhaseTrialsAgainstTheLoop:
+    def test_trials_match_the_per_trial_loop(self, tmp_path, monkeypatch):
+        # pulse 0 with a trap-off delay: the delay is order-diagonal, so
+        # turning the imprinted state still equals turning the coupling
+        config = small("phase_coherence", [
+            vortex_pulse(delay_after_s=2e-5, trap_on=False),
+            {"absorb": "wide", "emit": "g", "rabi_rate_rad_s": 7.0e4,
+             "detuning_recoils": 4.0, "duration_s": 1.5e-5,
+             "relative_phase_rad": 1.1, "delay_after_s": 2e-5},
+        ], tmp_path, study={"n_trials": 3, "phases_rad": [0.4, 2.5, 4.6]},
+            imaging={"time_of_flight_s": 0.0})
+        config["beams"]["lg"] = dict(BEAMS["lg"], phase_rad=0.7)
+        finals = []
+        image = scenarios.absorption_image
+
+        def capturing(state, *args, **kwargs):
+            if kwargs.get("label") == "hole_image":
+                finals.append(state)
+            return image(state, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "absorption_image", capturing)
+        result = run_scenario(config)
+        states, reference = reference_phase_trials(
+            ExperimentConfig.from_mapping(config))
+
+        assert len(finals) == len(states) == 3
+        assert np.array_equal(finals[0].values, states[0].values)
+        for final, state in zip(finals, states):
+            diff = final.values - state.values
+            assert math.sqrt(float(np.sum(np.abs(diff) ** 2))
+                             * state.grid.cell_area) <= 1e-12
+        table = (Path(result.output_dir) / "study_table.tsv").read_text()
+        rows = [line.split("\t") for line in table.strip().split("\n")]
+        column = rows[0].index("hole_angle_rad")
+        for row, expected in zip(rows[1:], reference.rows):
+            assert float(row[column]) == pytest.approx(
+                expected["hole_angle_rad"], abs=1e-9)
