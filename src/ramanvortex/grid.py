@@ -107,8 +107,9 @@ class Grid2D:
 
     def padded(self, factor: float) -> "Grid2D":
         """Grid with >= factor times the extent at identical spacing."""
-        if factor < 1.0:
-            raise ValueError("padding factor must be >= 1")
+        # written as not (a <= x < inf) so that NaN and inf raise too
+        if not 1.0 <= factor < math.inf:
+            raise ValueError(f"padding factor {factor} is not finite and >= 1")
         n_y = self.n_y
         n_z = self.n_z
         while n_y < self.n_y * factor:
@@ -232,11 +233,17 @@ def _ifft2_stack(values: np.ndarray) -> np.ndarray:
 MAX_PHASE_PER_STEP = 0.1
 
 
-def _kinetic(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Multiply a stack by a kinetic phase in momentum space.  The spectrum
-    is freed on return, so a loop never holds it next to the stack."""
+def _kinetic(values: np.ndarray, ksq: np.ndarray,
+             times: np.ndarray) -> np.ndarray:
+    """Exact free flight of a stack in momentum space: order n for
+    times[n], one phase per distinct time.  The spectrum is freed on
+    return, so a loop never holds it next to the stack."""
     spec = _fft2_stack(values)
-    spec *= phase
+    phases = {}
+    for n, t in enumerate(times):
+        if t not in phases:
+            phases[t] = np.exp(-1j * t * ksq)
+        spec[n] *= phases[t]
     return _ifft2_stack(spec)
 
 

@@ -10,7 +10,7 @@ from ramanvortex.diagnostics import vortex_report
 from ramanvortex.errors import SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                               bilinear_sample)
-from ramanvortex.imaging import ImagePlane, absorption_image
+from ramanvortex.imaging import ImagePlane, absorption_image, time_of_flight
 from ramanvortex.optics import BeamSpec, CouplingMap
 from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
                                PhysicalParams)
@@ -54,6 +54,9 @@ CALLS = {
     "vortex_loop_radius": lambda x, units: vortex_report(_field(units), x),
     "image_pitch_m": lambda x, units: absorption_image(
         LadderState.from_single_order(_field(units), 1), (0,), x),
+    "tof_pad_factor": lambda x, units: time_of_flight(
+        LadderState.from_single_order(_field(units), 1), 1e-3, 0.0, 0.0,
+        pad_factor=x),
 }
 
 
@@ -62,3 +65,11 @@ CALLS = {
 def test_non_finite_argument_raises_simulation_error(name, bad, units):
     with pytest.raises(SimulationError):
         CALLS[name](bad, units)
+
+
+# an infinite factor once doubled the padded size forever
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_padding_factor_raises_value_error(bad, units):
+    grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+    with pytest.raises(ValueError, match="padding factor"):
+        grid.padded(bad)

@@ -7,6 +7,7 @@ A single-ring vortex mode shares the same complex-width law, so its
 bright-ring radius grows by the identical factor and the core never fills.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from scipy.constants import hbar
 
 from ramanvortex import imaging
+from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
+                                    thomas_fermi_profile)
 from ramanvortex.errors import GridOverflowError, SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                              bilinear_sample)
@@ -37,6 +40,13 @@ def vortex_values(grid, w0_m, winding):
     phi = np.arctan2(grid.mesh_z, grid.mesh_y)
     psi = rho * np.exp(-rho**2 / (2.0 * w * w)) * np.exp(1j * winding * phi)
     return psi / math.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_area)
+
+
+def thomas_fermi_cloud(grid):
+    """The default config's 30 um Thomas-Fermi cloud on grid, and its g2d."""
+    trap = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
+    g2d = g2d_from_tf_radius(trap, 30e-6, grid.units)
+    return thomas_fermi_profile(trap, g2d, grid).field.values, g2d
 
 
 def mean_rho_sq(state):
@@ -133,20 +143,20 @@ class TestTimeOfFlight:
 
     def test_meanfield_window_error_is_second_order(self, units,
                                                     monkeypatch):
-        # The window's step count is ceil(T * rate / MAX_PHASE_PER_STEP);
-        # a limit of T * rate / (n - 1/2) gives exactly n steps of T / n.
+        # The window's step count is ceil(T * g rho_max /
+        # WINDOW_PHASE_PER_STEP); a limit of T * g rho_max / (n - 1/2)
+        # gives exactly n steps of T / n.
         grid = Grid2D(32, 32, 80e-6, 80e-6, units)
         state = gaussian_state(grid, 10e-6)
         state.values[state.index(1)] = 0.5 * vortex_values(grid, 10e-6, 1)
         g2d = units.coupling2d_to_si(1000.0)
         window_s = 5e-4
         t = units.time_to_internal(window_s)
-        rate = (grid.mesh_ksq.max()
-                + units.coupling2d_to_internal(g2d)
+        rate = (units.coupling2d_to_internal(g2d)
                 * state.total_density().max())
 
         def window(n_steps):
-            monkeypatch.setattr(imaging, "MAX_PHASE_PER_STEP",
+            monkeypatch.setattr(imaging, "WINDOW_PHASE_PER_STEP",
                                 t * rate / (n_steps - 0.5))
             return time_of_flight(state, window_s, window_s, g2d).values
 
@@ -155,6 +165,96 @@ class TestTimeOfFlight:
         # Strang error falls 4x per halving; a first-order slip, 2x
         assert errors[0] / errors[1] >= 3.5
         assert errors[1] / errors[2] >= 3.5
+
+    def test_pruned_order_flies_the_whole_flight(self, units):
+        # A faint order skips the mean field, not the window's free flight.
+        grid = Grid2D(32, 32, 80e-6, 80e-6, units)
+        state = gaussian_state(grid, 10e-6)
+        faint = 1e-7 * vortex_values(grid, 10e-6, 1)
+        state.values[state.index(1)] = faint
+        assert state.population(1) == pytest.approx(1e-14)
+        out = time_of_flight(state, 1e-3, 5e-4,
+                             units.coupling2d_to_si(1000.0))
+        alone = time_of_flight(
+            LadderState.from_single_order(TransverseField(grid, faint), 1, 1),
+            1e-3, 5e-4, 0.0)
+        k = state.index(1)
+        assert np.linalg.norm(out.values[k] - alone.values[k]) <= (
+            1e-12 * np.linalg.norm(alone.values[k]))
+
+    def test_logs_window_steps_and_boundary_mass_against_limits(
+            self, units, caplog):
+        grid = Grid2D(32, 32, 80e-6, 80e-6, units)
+        state = gaussian_state(grid, 10e-6)
+        g2d = units.coupling2d_to_si(1000.0)
+        window_s = 5e-4
+        phase = (units.time_to_internal(window_s)
+                 * units.coupling2d_to_internal(g2d)
+                 * state.total_density().max())
+        n_steps = math.ceil(phase / imaging.WINDOW_PHASE_PER_STEP)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
+            time_of_flight(state, 1e-3, window_s, g2d)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"window of {n_steps} steps, dt {window_s / n_steps:.3g} s" in (
+            message)
+        assert "over 1 of 3 orders" in message
+        assert f"g*rho_max*dt {phase / n_steps:.3g} rad (limit 0.03)" in (
+            message)
+        assert "(limit 1e-06)" in message
+
+    def test_window_steps_follow_the_meanfield_phase_not_the_pitch(
+            self, units, monkeypatch):
+        # Same cloud and extent, pitch halved: the Nyquist kinetic rate
+        # grows 4x, the window's step count must not.
+        window_s = 5e-4
+        steps = []
+        evolve = imaging._strang_evolve
+
+        def counted(values, ksq, dt, n_steps, g, *args):
+            steps.append(n_steps)
+            return evolve(values, ksq, dt, n_steps, g, *args)
+
+        monkeypatch.setattr(imaging, "_strang_evolve", counted)
+        expected = []
+        for points in (64, 128):
+            grid = Grid2D(points, points, 160e-6, 160e-6, units)
+            cloud, g2d = thomas_fermi_cloud(grid)
+            state = LadderState.from_single_order(
+                TransverseField(grid, cloud), 1)
+            phase = (units.time_to_internal(window_s)
+                     * units.coupling2d_to_internal(g2d)
+                     * state.total_density().max())
+            expected.append(math.ceil(phase / imaging.WINDOW_PHASE_PER_STEP))
+            time_of_flight(state, window_s, window_s, g2d)
+        assert steps == expected
+        assert steps[0] == steps[1]
+
+    def test_default_window_meets_its_error_budget(self, grid64, units,
+                                                   monkeypatch):
+        # A Thomas-Fermi cloud with a charge-1 vortex order split off it
+        # point by point, as a Raman pulse does.  Largest density error of
+        # any order, after the whole flight, against 8x finer window
+        # steps: within 1e-6 of the image peak.
+        cloud, g2d = thomas_fermi_cloud(grid64)
+        waist = 85e-6 / units.length_m
+        r = np.hypot(grid64.mesh_y, grid64.mesh_z) / waist
+        turn = math.sqrt(2.0 * math.e) * r * np.exp(-r * r)  # peak 1 rad
+        state = LadderState(grid64, 1)
+        state.values[state.index(0)] = cloud * np.cos(turn)
+        state.values[state.index(1)] = cloud * np.sin(turn) * np.exp(
+            1j * np.arctan2(grid64.mesh_z, grid64.mesh_y))
+
+        def flown_densities():
+            out = time_of_flight(state, 6e-3, 5e-4, g2d)
+            return np.abs(out.values) ** 2
+
+        default = flown_densities()
+        monkeypatch.setattr(imaging, "WINDOW_PHASE_PER_STEP",
+                            imaging.WINDOW_PHASE_PER_STEP / 8.0)
+        finer = flown_densities()
+        assert np.abs(default - finer).max() <= 1e-6 * finer.max()
 
     def test_negative_time_and_thin_padding_rejected(self, grid64):
         state = gaussian_state(grid64, 10e-6)
