@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser):
                              "bit-identical only single-threaded)")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true",
-                           help="log per-pulse progress")
+                           help="log relaxation and time-of-flight records")
     verbosity.add_argument("-q", "--quiet", action="store_true",
                            help="only report errors")
 

@@ -31,8 +31,8 @@ class GuardError(SimulationError):
 class TruncationError(GuardError):
     """Population reached the edge of the momentum ladder.
 
-    Raised when the summed population of the +/- n_max orders exceeds the
-    configured limit during a pulse. Raise n_max and rerun.
+    Raised after a pulse when the population of the +n_max or the -n_max
+    order exceeds dynamics.EDGE_POPULATION_LIMIT. Raise n_max and rerun.
     """
 
 

@@ -303,30 +303,28 @@ def _as_profile(profile):
     return lambda r: np.interp(r, r_axis, amp, left=amp[0], right=0.0)
 
 
-def analytic_pattern(kind: str, radial_profiles, grid: Grid2D,
-                     theta: float = 0.0) -> ImagePlane:
-    """Reference two-path interference pattern on the given grid.
-
-    kind selects the superposition imaged:
+def pattern_terms(kind: str, radial_profiles, grid: Grid2D
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern of `kind` as A + B cos(theta) + C sin(theta) on the grid:
       counter_rotating:  |f e^{i(phi + theta)} + f e^{-i phi}|^2
-                         = 4 f^2 cos^2(phi + theta/2)
       rot_vs_nonrot:     |f0 + f1 e^{i(phi + theta)}|^2
       doubly_vs_nonrot:  |f0 + f2 e^{i(2 phi + theta)}|^2
+    are A + X cos(l phi + theta) with winding l = 2, 1, 2; A = X = 2 f^2
+    for the first, A = f0^2 + fl^2 and X = 2 f0 fl for the others.  So
+    B = X cos(l phi) and C = -X sin(l phi).
 
     radial_profiles is one profile (counter_rotating) or a pair; each is a
-    callable amplitude of radius in meters or a sampled (r_m, amp) pair.
-    The image is scaled to unit maximum.
+    callable real amplitude of radius in meters or a sampled (r_m, amp) pair.
     """
     if kind not in PATTERN_KINDS:
         raise SimulationError(f"unknown pattern kind {kind!r}")
-    pitch = _require_square_pixels(grid)
     zz, yy = np.meshgrid(grid.z_m, grid.y_m, indexing="ij")
     rho = np.hypot(yy, zz)
     phi = np.arctan2(zz, yy)
 
     if kind == "counter_rotating":
         f = _as_profile(radial_profiles)(rho)
-        intensity = np.abs(f * np.exp(1j * (phi + theta)) + f * np.exp(-1j * phi)) ** 2
+        mean = cross = 2.0 * f * f
     else:
         try:
             prof_a, prof_b = radial_profiles
@@ -334,9 +332,20 @@ def analytic_pattern(kind: str, radial_profiles, grid: Grid2D,
             raise SimulationError(f"{kind} needs two radial profiles")
         f0 = _as_profile(prof_a)(rho)
         fl = _as_profile(prof_b)(rho)
-        winding = 1 if kind == "rot_vs_nonrot" else 2
-        intensity = np.abs(f0 + fl * np.exp(1j * (winding * phi + theta))) ** 2
+        mean = f0 * f0 + fl * fl
+        cross = 2.0 * f0 * fl
+    winding = 1 if kind == "rot_vs_nonrot" else 2
+    return mean, cross * np.cos(winding * phi), -cross * np.sin(winding * phi)
 
+
+def analytic_pattern(kind: str, radial_profiles, grid: Grid2D,
+                     theta: float = 0.0) -> ImagePlane:
+    """Reference two-path interference pattern (see pattern_terms) at
+    orientation theta on the given grid, scaled to unit maximum."""
+    a, b, c = pattern_terms(kind, radial_profiles, grid)
+    pitch = _require_square_pixels(grid)
+    # the sum rounds to about -1e-17 at an exact zero
+    intensity = np.maximum(a + b * math.cos(theta) + c * math.sin(theta), 0.0)
     peak = intensity.max()
     if peak > 0.0:
         intensity = intensity / peak
@@ -392,7 +401,8 @@ def write_pgm(image: ImagePlane, path: str) -> None:
 
 
 def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
-    """Read back a PGM written by write_pgm, dequantized via its sidecar."""
+    """Read back a PGM written by write_pgm, dequantized via its sidecar;
+    raises SimulationError if that lacks pitch_m, min_value or max_value."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"P5":
@@ -406,10 +416,13 @@ def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
     if raw.size != rows * cols:
         raise SimulationError(f"{path}: truncated pixel data")
     meta = read_sidecar(path)
-    lo = float(meta.get("min_value", 0.0))
-    hi = float(meta.get("max_value", 1.0))
+    missing = sorted({"pitch_m", "min_value", "max_value"} - meta.keys())
+    if missing:
+        raise SimulationError(f"{path}: sidecar lacks {', '.join(missing)}")
+    lo = float(meta["min_value"])
+    hi = float(meta["max_value"])
     pixels = lo + raw.reshape(rows, cols).astype(float) / 65535.0 * (hi - lo)
     pixels = np.maximum(pixels, 0.0)
-    image = ImagePlane(pixels, float(meta.get("pitch_m", 1.0)),
+    image = ImagePlane(pixels, float(meta["pitch_m"]),
                        label=meta.get("label", ""))
     return image, meta

@@ -153,14 +153,14 @@ def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D,
                        peak_rate_rad_s)
 
 
-def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D, radius_m: float,
-                     n_samples: int = 512) -> float:
+def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D,
+                     radius_m: float) -> float:
     """Azimuth of the angular intensity maximum on a centered ring.
 
     Intensity-weighted circular mean, exact for a single sinusoidal lobe;
     returns 0.0 for an angularly flat ring (no lobe to point at).
     """
-    phi, ring = ring_samples(intensity, grid, radius_m, n_samples)
+    phi, ring = ring_samples(intensity, grid, radius_m, 512)
     resultant = np.sum(ring * np.exp(1j * phi))
     if abs(resultant) < 1e-9 * max(ring.sum(), 1e-300):
         return 0.0

@@ -51,7 +51,8 @@ from .dynamics import run_sequence
 from .errors import SimulationError
 from .grid import Grid2D, LadderState, save_field, write_sidecar
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
-                      radial_profile, time_of_flight, write_pgm)
+                      pattern_terms, radial_profile, time_of_flight,
+                      write_pgm)
 from .optics import phase_readout_pattern, scaled_coupling
 from .units import UnitSystem
 
@@ -241,49 +242,51 @@ def _support_radius_m(image: ImagePlane) -> float:
     return 1.1 * float(inside.max())
 
 
-def _centered_ncc(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(da * db) / denom)
+def _match_pattern(bundle: _Bundle, summary: dict, image: ImagePlane,
+                   order: int, kind: str, profiles, grid: Grid2D) -> None:
+    """Fit the pattern orientation theta to the image of `order`, scanning
+    64 coarse angles and 17 fine ones; write the pattern, xcorr and theta.
 
-
-def _best_pattern_match(image: ImagePlane, kind: str, profiles,
-                        grid: Grid2D) -> tuple[float, float]:
-    """Max centered cross-correlation over the pattern orientation.
-
-    The fringe orientation is set by accumulated pulse phases, so it is a
-    free parameter of the comparison: the analytic pattern is regenerated
-    on the image's own raster for a scan of theta and the best match wins.
-    Correlation is restricted to the disc where the image's azimuthal mean
-    is above 1% of peak; the empty frame outside would flatter the score.
+    The centered cross-correlation of the image m with the pattern
+    A + B cos theta + C sin theta is (p.v) / (|m| sqrt(v^T G v)), v = (1,
+    cos theta, sin theta), from the terms' projections p and Gram matrix G
+    (centered; a zero denominator scores 0), restricted to the disc where
+    the image's azimuthal mean is above 1% of peak.
     """
     if image.pixels.shape != grid.shape:
         raise SimulationError("pattern comparison needs the grid-pitch "
                               "analysis image")
     zz, yy = np.meshgrid(grid.z_m, grid.y_m, indexing="ij")
     mask = np.hypot(yy, zz) <= _support_radius_m(image)
-    measured = image.pixels[mask]
+    measured = image.pixels[mask] - image.pixels[mask].mean()
+    terms = np.array([t[mask] for t in pattern_terms(kind, profiles, grid)])
+    terms -= terms.mean(axis=1, keepdims=True)
+    proj = terms @ measured
+    gram = terms @ terms.T
+    norm = math.sqrt(float(measured @ measured))
 
-    def score(theta: float) -> float:
-        pattern = analytic_pattern(kind, profiles, grid, theta=theta)
-        return _centered_ncc(measured, pattern.pixels[mask])
+    def scores(thetas: np.ndarray) -> np.ndarray:
+        v = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
+        denom = norm * np.sqrt(np.maximum(np.sum(v * (gram @ v), axis=0),
+                                          0.0))
+        return np.divide(proj @ v, denom, out=np.zeros_like(thetas),
+                         where=denom != 0.0)
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    scores = [score(t) for t in thetas]
-    best = int(np.argmax(scores))
-    lo = thetas[best] - 2.0 * math.pi / 64
-    hi = thetas[best] + 2.0 * math.pi / 64
-    fine = np.linspace(lo, hi, 17)
-    fine_scores = [score(t) for t in fine]
+    step = 2.0 * math.pi / 64
+    coarse = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    best = coarse[np.argmax(scores(coarse))]
+    fine = np.linspace(best - step, best + step, 17)
+    fine_scores = scores(fine)
     k = int(np.argmax(fine_scores))
-    return float(fine_scores[k]), float(fine[k] % (2.0 * math.pi))
+    theta = float(fine[k] % (2.0 * math.pi))
+    bundle.add_image(f"pattern_{kind}.pgm",
+                     analytic_pattern(kind, profiles, grid, theta=theta))
+    summary[f"pattern_xcorr_order_{order_tag(order)}"] = float(fine_scores[k])
+    summary["pattern_theta_rad"] = theta
 
 
-def _azimuthal_minima(image: ImagePlane, annulus_m: tuple[float, float],
-                      n_bins: int | None = None) -> list[float]:
+def _azimuthal_minima(image: ImagePlane, annulus_m: tuple[float, float]
+                      ) -> list[float]:
     """Angles of local minima of the azimuthal intensity profile.
 
     The profile is the mean intensity per angular bin over the annulus;
@@ -291,10 +294,8 @@ def _azimuthal_minima(image: ImagePlane, annulus_m: tuple[float, float],
     bin count follows the pixel pitch (about three pixels per bin along
     the annulus midline, capped at 90) so coarse grids stay usable.
     """
-    if n_bins is None:
-        mid_circumference = math.pi * (annulus_m[0] + annulus_m[1])
-        n_bins = int(mid_circumference / image.pitch_m / 3.0)
-        n_bins = max(12, min(90, n_bins))
+    mid_circumference = math.pi * (annulus_m[0] + annulus_m[1])
+    n_bins = max(12, min(90, int(mid_circumference / image.pitch_m / 3.0)))
     y, z = image.axes_m()
     zz, yy = np.meshgrid(z, y, indexing="ij")
     rho = np.hypot(yy, zz)
@@ -363,14 +364,8 @@ def _run_counter_rotating(ctx: _Context, bundle: _Bundle) -> dict:
     radii, mean = radial_profile(analysis)
     # azimuthal mean of 4 f^2 cos^2 is 2 f^2, so f = sqrt(mean / 2)
     amplitude = np.sqrt(np.maximum(mean, 0.0) / 2.0)
-    xcorr, theta = _best_pattern_match(analysis, "counter_rotating",
-                                       (radii, amplitude), flown.grid)
-    bundle.add_image("pattern_counter_rotating.pgm",
-                     analytic_pattern("counter_rotating",
-                                      (radii, amplitude), flown.grid,
-                                      theta=theta))
-    summary["pattern_xcorr_order_p1"] = xcorr
-    summary["pattern_theta_rad"] = theta
+    _match_pattern(bundle, summary, analysis, 1, "counter_rotating",
+                   (radii, amplitude), flown.grid)
     return summary
 
 
@@ -421,15 +416,9 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     prof_nonrot = (radii0, math.sqrt(s_sq) * np.sqrt(np.maximum(mean0, 0.0)))
     prof_rot = (radii2, math.sqrt(c_sq) * np.sqrt(np.maximum(mean2, 0.0)))
     analysis = ctx.analysis_image(flown, (2,), "interference_order_p2")
-    xcorr, theta = _best_pattern_match(analysis, "doubly_vs_nonrot",
-                                       (prof_nonrot, prof_rot), flown.grid)
-    bundle.add_image("pattern_doubly_vs_nonrot.pgm",
-                     analytic_pattern("doubly_vs_nonrot",
-                                      (prof_nonrot, prof_rot), flown.grid,
-                                      theta=theta))
     summary["readout_mixed_fraction"] = s_sq
-    summary["pattern_xcorr_order_p2"] = xcorr
-    summary["pattern_theta_rad"] = theta
+    _match_pattern(bundle, summary, analysis, 2, "doubly_vs_nonrot",
+                   (prof_nonrot, prof_rot), flown.grid)
 
     # the two interference holes, measured mid-cloud where both components
     # have support; the radius scale comes from the image itself so TOF

@@ -399,6 +399,26 @@ class TestAnalyticPattern:
         with pytest.raises(SimulationError, match="two radial profiles"):
             analytic_pattern("rot_vs_nonrot", self.ring_amp, grid128)
 
+    @pytest.mark.parametrize("kind", imaging.PATTERN_KINDS)
+    @pytest.mark.parametrize("theta", [0.0, 0.8, 2.5])
+    def test_terms_match_the_modulus_form(self, grid128, kind, theta):
+        # the superposition itself, |first path + second path|^2
+        zz, yy = np.meshgrid(grid128.z_m, grid128.y_m, indexing="ij")
+        rho, phi = np.hypot(yy, zz), np.arctan2(zz, yy)
+        ring, flat = self.ring_amp(rho), self.flat_amp(rho)
+        if kind == "counter_rotating":
+            profiles = self.ring_amp
+            field = (ring * np.exp(1j * (phi + theta))
+                     + ring * np.exp(-1j * phi))
+        else:
+            profiles = (self.flat_amp, self.ring_amp)
+            winding = 1 if kind == "rot_vs_nonrot" else 2
+            field = flat + ring * np.exp(1j * (winding * phi + theta))
+        modulus = np.abs(field) ** 2
+        image = analytic_pattern(kind, profiles, grid128, theta=theta)
+        assert image.pixels.min() >= 0.0
+        assert np.abs(image.pixels - modulus / modulus.max()).max() <= 1e-15
+
     def test_radial_profile_of_two_lobe_pattern(self, grid128):
         image = analytic_pattern("counter_rotating", self.ring_amp, grid128)
         radii, mean = radial_profile(image)
@@ -429,6 +449,18 @@ class TestPgmRoundTrip:
         write_pgm(image, path)
         back, _ = read_pgm(path)
         assert np.allclose(back.pixels, 3.0)
+
+    @pytest.mark.parametrize("key", ["pitch_m", "min_value", "max_value"])
+    def test_missing_scale_key_rejected(self, tmp_path, key):
+        pixels = np.arange(12.0).reshape(3, 4)
+        path = str(tmp_path / "small.pgm")
+        write_pgm(ImagePlane(pixels, 2.5e-6), path)
+        with open(path + ".meta") as fh:
+            lines = [l for l in fh if not l.startswith(key + "=")]
+        with open(path + ".meta", "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(SimulationError, match=key):
+            read_pgm(path)
 
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "fake.pgm"

@@ -14,7 +14,8 @@ from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle, phase_correlation_study
 from ramanvortex.dynamics import run_sequence
 from ramanvortex.grid import LadderState, load_field, read_sidecar
-from ramanvortex.imaging import absorption_image, read_pgm
+from ramanvortex.imaging import (PATTERN_KINDS, ImagePlane, absorption_image,
+                                 analytic_pattern, read_pgm)
 from ramanvortex.optics import phase_readout_pattern, scaled_coupling
 from ramanvortex.scenarios import run_scenario
 
@@ -386,3 +387,77 @@ class TestPhaseTrialsAgainstTheLoop:
         for row, expected in zip(rows[1:], reference.rows):
             assert float(row[column]) == pytest.approx(
                 expected["hole_angle_rad"], abs=1e-9)
+
+
+def reference_pattern_match(image, kind, profiles, grid):
+    """The orientation scan before the closed-form fit: the analytic
+    pattern rebuilt on the raster for each of 64 coarse and 17 fine
+    angles, each scored by centered cross-correlation on the support
+    disc.  Returns (xcorr, theta)."""
+    zz, yy = np.meshgrid(grid.z_m, grid.y_m, indexing="ij")
+    mask = np.hypot(yy, zz) <= scenarios._support_radius_m(image)
+    measured = image.pixels[mask]
+
+    def score(theta):
+        pattern = analytic_pattern(kind, profiles, grid, theta=theta)
+        da = measured - measured.mean()
+        db = pattern.pixels[mask] - pattern.pixels[mask].mean()
+        denom = math.sqrt(float(np.sum(da * da)) * float(np.sum(db * db)))
+        if denom == 0.0:
+            return 0.0
+        return float(np.sum(da * db) / denom)
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    scores = [score(t) for t in thetas]
+    best = int(np.argmax(scores))
+    fine = np.linspace(thetas[best] - 2.0 * math.pi / 64,
+                       thetas[best] + 2.0 * math.pi / 64, 17)
+    fine_scores = [score(t) for t in fine]
+    k = int(np.argmax(fine_scores))
+    return fine_scores[k], float(fine[k] % (2.0 * math.pi))
+
+
+class TestPatternFitAgainstTheLoop:
+    W_M = 30e-6
+
+    def profiles(self, kind):
+        r = np.linspace(0.0, 2e-4, 4000)
+        ring = (r, (r / self.W_M) * np.exp(-(r / self.W_M) ** 2))
+        flat = (r, np.exp(-(r / self.W_M) ** 2))
+        return ring if kind == "counter_rotating" else (flat, ring)
+
+    def fit(self, tmp_path, image, kind, grid):
+        bundle = scenarios._Bundle(str(tmp_path / kind))
+        summary = {}
+        scenarios._match_pattern(bundle, summary, image, 1, kind,
+                                 self.profiles(kind), grid)
+        assert bundle.names == [f"pattern_{kind}.pgm",
+                                f"pattern_{kind}.pgm.meta"]
+        assert list(summary) == ["pattern_xcorr_order_p1",
+                                 "pattern_theta_rad"]
+        return summary["pattern_xcorr_order_p1"], summary["pattern_theta_rad"]
+
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_fit_matches_the_scan(self, tmp_path, grid128, rng, kind, noise):
+        pixels = analytic_pattern(kind, self.profiles(kind), grid128,
+                                  theta=1.0).pixels
+        pixels = np.maximum(pixels + rng.normal(0.0, noise, pixels.shape),
+                            0.0)
+        image = ImagePlane(pixels, grid128.pitch_y_m)
+        xcorr, theta = self.fit(tmp_path, image, kind, grid128)
+        ref_xcorr, ref_theta = reference_pattern_match(
+            image, kind, self.profiles(kind), grid128)
+        assert theta == ref_theta
+        assert abs(xcorr - ref_xcorr) <= 1e-12
+        if noise == 0.0:
+            assert abs(theta - 1.0) <= math.pi / 128
+            assert xcorr > 0.999
+
+    def test_flat_image_scores_zero(self, tmp_path, grid128):
+        image = ImagePlane(np.ones(grid128.shape), grid128.pitch_y_m)
+        kind = "doubly_vs_nonrot"
+        fitted = self.fit(tmp_path, image, kind, grid128)
+        assert fitted == reference_pattern_match(
+            image, kind, self.profiles(kind), grid128)
+        assert fitted[0] == 0.0
