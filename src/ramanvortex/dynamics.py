@@ -19,13 +19,16 @@ meanfield (an identity in order space) commutes exactly with the per-point
 ladder matrix.  That matrix, detunings included, is exponentiated exactly
 once per pulse into a per-point unitary, built from symmetric
 eigendecompositions: the phase of omega is peeled off first by
-conjugation with diag(e^{i n arg omega}), leaving a real tridiagonal.
-Each step then applies one matrix-vector product per grid point.  The only
-splitting error left is the soft kinetic commutator, so the default step is
-set by the 0.1 rad guard on kinetic and potential phase rates and by the
-cap MAX_INTERNAL_STEP, not by omega or D_n.  Each pulse references the
-coupling phase at its own start; only phase differences between pulses are
-physical, matching how the beams are actually used.
+conjugation with diag(e^{i n arg omega}), leaving a real tridiagonal
+that depends on the point only through |omega|, so it is diagonalised
+once per distinct |omega|.  Each step then applies the unitary and the
+trap + meanfield phase together, in place, over cache-sized blocks of
+points.  The only splitting error left is the soft kinetic commutator, so
+the default step is set by the 0.1 rad guard on kinetic and potential
+phase rates and by the cap MAX_INTERNAL_STEP, not by omega or D_n.  Each
+pulse references the coupling phase at its own start; only phase
+differences between pulses are physical, matching how the beams are
+actually used.
 
 Free evolution (the delay after a pulse, the last one being the hold before
 imaging) is the same loop without the ladder, followed by the exact axial
@@ -125,11 +128,25 @@ def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
     return n_steps, t_total / n_steps
 
 
-# Grid points per eigh block while a pulse's ladder unitary is built.
-# Measured peak RSS of the 64^2 (4096-point) phase_scan_64 benchmark run:
-# 70.0 MB with blocks of 256, 71.1 MB with 512, 81.9 MB with one block of
-# 4096 (the whole-grid eigen path before this unitary: 70.3 MB).
+# Grid points per chunk of the unitary build, taken in order of
+# s = |omega| / 2, so that points sharing an s share a chunk.  Measured
+# peak RSS of the 64^2 (4096-point) phase_scan_64 benchmark run, seed 1,
+# with this sorted build: 71.3 MB with chunks of 256, 71.7-71.9 MB with
+# 1024 and 77.7 MB with one chunk of 4096 (the per-point build it
+# replaced: 71.3 MB with chunks of 256).
 _LADDER_CHUNK = 256
+
+# Grid points per block of the in-place apply, so that the block's slice
+# of U, of the stack and the accumulator stay in cache.  Time of one apply
+# (ladder and mean-field phase) in ms, best of three sweeps of 15 runs,
+# single-threaded, on a 2-core x86-64 machine; "none" is the whole-grid
+# product with fresh temporaries that it replaced:
+#
+#   block          none   512  1024  2048  4096  8192  16384
+#   256^2, n_max 3 16.0  14.7  13.2  12.6  11.4  12.9   16.1
+#   128^2, n_max 4  6.4   4.4   4.3   4.0   2.7   4.8    4.7
+#    64^2, n_max 3  0.7   0.6   0.6   0.6   0.4   0.4    0.4
+_APPLY_BLOCK = 4096
 
 
 class _LadderPropagator:
@@ -138,12 +155,17 @@ class _LadderPropagator:
     At grid point p the ladder matrix H_p holds D_n on the diagonal,
     omega_p / 2 below it and conj(omega_p) / 2 above it.  Conjugation by
     diag(e^{i n alpha_p}), alpha_p = arg omega_p, makes it a real symmetric
-    tridiagonal with eigenvectors V and eigenvalues w, so U_p =
-    e^{-i dt H_p} has entries M_ij e^{i (n_i - n_j) alpha_p} with
-    M = V e^{-i w dt} V^T.  U is built once per pulse from eigh over blocks
-    of _LADDER_CHUNK points, so no whole-grid eigen arrays exist; it holds
-    (2 n_max + 1)^2 complex numbers of 16 B per grid point: 51 MB at 256^2
-    with n_max 3, 303 MB at n_max 8.
+    tridiagonal T(s_p), s_p = |omega_p| / 2, with eigenvectors V and
+    eigenvalues w, so U_p = e^{-i dt H_p} has entries
+    M_ij(s_p) e^{i (n_i - n_j) alpha_p} with M = V e^{-i w dt} V^T.
+
+    M depends on the point only through s, and centred beams repeat s
+    bitwise over many points.  So the points are walked in stable order of
+    s, _LADDER_CHUNK at a time, and eigh and M run once per distinct s of
+    each chunk; each point then gathers its M and takes its own winding.
+    The arithmetic per point is that of a per-point eigh, so U is the same
+    bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B per grid
+    point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.
     """
 
     def __init__(self, coupling: CouplingMap, delta_recoils: np.ndarray,
@@ -152,27 +174,46 @@ class _LadderPropagator:
         dim = 2 * n_max + 1
         idx = np.arange(dim)
         n_orders = np.arange(-n_max, n_max + 1, dtype=float)
+        s_all = 0.5 * np.abs(omega)
+        order = np.argsort(s_all, kind="stable")
         # (dim, dim, n_pts): U[i, j] is one contiguous row over the points
         self.unitary = np.empty((dim, dim, omega.size), dtype=np.complex128)
         for start in range(0, omega.size, _LADDER_CHUNK):
-            part = omega[start:start + _LADDER_CHUNK]
-            s = 0.5 * np.abs(part)
-            tri = np.zeros((part.size, dim, dim))
+            pts = order[start:start + _LADDER_CHUNK]
+            s, inverse = np.unique(s_all[pts], return_inverse=True)
+            tri = np.zeros((s.size, dim, dim))
             tri[:, idx, idx] = delta_recoils
             tri[:, idx[1:], idx[:-1]] = s[:, None]
             tri[:, idx[:-1], idx[1:]] = s[:, None]
             w, v = np.linalg.eigh(tri)
             m = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.transpose(0, 2, 1)
-            wind = np.exp(1j * np.angle(part)[:, None] * n_orders)
+            m = m[inverse]
+            wind = np.exp(1j * np.angle(omega[pts])[:, None] * n_orders)
             m *= wind[:, :, None] * wind[:, None, :].conj()
-            self.unitary[:, :, start:start + part.size] = m.transpose(1, 2, 0)
+            self.unitary[:, :, pts] = m.transpose(1, 2, 0)
+        # one block's accumulator and term, reused by every step
+        self._acc = np.empty((dim, min(_APPLY_BLOCK, omega.size)),
+                             dtype=np.complex128)
+        self._term = np.empty_like(self._acc)
 
-    def apply(self, flat: np.ndarray) -> np.ndarray:
-        """flat: (dim, n_pts) component stack at each grid point."""
-        out = self.unitary[:, 0] * flat[0]
-        for j in range(1, len(flat)):
-            out += self.unitary[:, j] * flat[j]
-        return out
+    def apply(self, flat: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Overwrite flat, a (dim, n_pts) component stack, with U flat
+        times phase, the (n_pts,) scalar factor shared by every order, and
+        return it.
+
+        Per point this is sum_j U[:, j] flat[j] summed in order of j, then
+        one multiply by the phase, in blocks of _APPLY_BLOCK points.
+        """
+        dim, n_pts = flat.shape
+        for a in range(0, n_pts, _APPLY_BLOCK):
+            b = min(a + _APPLY_BLOCK, n_pts)
+            out, tmp = self._acc[:, :b - a], self._term[:, :b - a]
+            np.multiply(self.unitary[:, 0, a:b], flat[0, a:b], out=out)
+            for j in range(1, dim):
+                np.multiply(self.unitary[:, j, a:b], flat[j, a:b], out=tmp)
+                out += tmp
+            np.multiply(out, phase[a:b], out=flat[:, a:b])
+        return flat
 
 
 def _check_norm(before: float, after: float, stage: str):

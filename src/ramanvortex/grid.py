@@ -233,18 +233,14 @@ def _ifft2_stack(values: np.ndarray) -> np.ndarray:
 MAX_PHASE_PER_STEP = 0.1
 
 
-def _kinetic(values: np.ndarray, ksq: np.ndarray,
-             times: np.ndarray) -> np.ndarray:
-    """Exact free flight of a stack in momentum space: order n for
-    times[n], one phase per distinct time.  The spectrum is freed on
-    return, so a loop never holds it next to the stack."""
-    spec = _fft2_stack(values)
+def _free_flight(spec: np.ndarray, ksq: np.ndarray, times: np.ndarray) -> None:
+    """Exact free flight of a stack's spectrum, in place: order n for
+    times[n], one phase per distinct time."""
     phases = {}
     for n, t in enumerate(times):
         if t not in phases:
             phases[t] = np.exp(-1j * t * ksq)
         spec[n] *= phases[t]
-    return _ifft2_stack(spec)
 
 
 def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
@@ -254,10 +250,11 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     tau is the step exponent, i dt in real time and dt in imaginary time,
     which then runs in real arithmetic.  Each step is a kinetic half-step
     e^{-tau ksq / 2}, the position-space step and another half-step.  The
-    position-space step applies ladder (an object whose apply maps a
-    (dim, n_points) stack to its exact per-point ladder exponential), when
-    given, then e^{-tau (V + g rho)}, which is the identity in order space
-    and so commutes with it.
+    position-space step multiplies by phase = e^{-tau (V + g rho)}, which
+    is the identity in order space and so commutes with the ladder.  When
+    a ladder is given, its apply(flat, phase) does both in place on the
+    (dim, n_points) view of the stack: the exact per-point ladder
+    exponential, then the phase.
 
     Yields (spec, pending) at each step boundary, before the first step
     and after each one: the state there is spec * pending (pending is 1.0
@@ -279,22 +276,27 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
         del spec
         rho = np.sum(np.abs(values) ** 2, axis=0)
         scalar = g * rho if potential is None else potential + g * rho
-        if ladder is not None:
-            values = ladder.apply(
-                values.reshape(len(values), -1)).reshape(values.shape)
-        values *= np.exp(-tau * scalar)
+        phase = np.exp(-tau * scalar)
+        if ladder is None:
+            values *= phase
+        else:
+            values = ladder.apply(values.reshape(len(values), -1),
+                                  phase.ravel()).reshape(values.shape)
+        # only the stack and its spectrum are held through the transform
+        del rho, scalar, phase
         spec = _fft2_stack(values)
         del values
         yield spec, half
         spec *= full
 
 
-def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
-                   n_steps: int, g: float, potential: np.ndarray | None = None,
-                   ladder=None) -> np.ndarray:
-    """n_steps real-time Strang steps (_strang_steps with tau = i dt): the
-    loop of pulses, delays and the time-of-flight mean-field window.  Costs
-    2 n_steps + 2 FFTs, and values is not held through the loop."""
+def _strang_spectrum(values: np.ndarray, ksq: np.ndarray, dt: float,
+                     n_steps: int, g: float,
+                     potential: np.ndarray | None = None,
+                     ladder=None) -> np.ndarray:
+    """n_steps real-time Strang steps (_strang_steps with tau = i dt),
+    ended in momentum space: returns the spectrum of the evolved stack.
+    Costs 2 n_steps + 1 FFTs, and values is not held through the loop."""
     steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
     del values
     # Yields are dropped at once: a spectrum kept across a step would hold
@@ -303,7 +305,16 @@ def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
         next(steps)
     spec, pending = next(steps)
     spec *= pending
-    return _ifft2_stack(spec)
+    return spec
+
+
+def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
+                   n_steps: int, g: float, potential: np.ndarray | None = None,
+                   ladder=None) -> np.ndarray:
+    """_strang_spectrum transformed back: the loop of pulses and delays.
+    Costs 2 n_steps + 2 FFTs."""
+    return _ifft2_stack(_strang_spectrum(values, ksq, dt, n_steps, g,
+                                         potential, ladder))
 
 
 def _axial_phase(values: np.ndarray, t: float) -> None:
@@ -410,7 +421,9 @@ def write_sidecar(path: str, meta: Mapping[str, object]) -> None:
         f.write("".join(f"{key}={value}\n" for key, value in meta.items()))
 
 
-def read_sidecar(path: str) -> dict[str, str]:
+def read_sidecar(path: str, required: tuple[str, ...] = ()) -> dict[str, str]:
+    """Read `path`.meta into a dict; raises SimulationError naming every
+    key of `required` that it lacks."""
     meta = {}
     with open(_sidecar_path(path)) as f:
         for line in f:
@@ -419,12 +432,17 @@ def read_sidecar(path: str) -> dict[str, str]:
                 continue
             key, _, value = line.partition("=")
             meta[key] = value
+    missing = sorted(set(required) - meta.keys())
+    if missing:
+        raise SimulationError(f"{path}: sidecar lacks {', '.join(missing)}")
     return meta
 
 
 def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str, str]]:
-    """Read a dumped field back; returns the field and its sidecar dict."""
-    meta = read_sidecar(path)
+    """Read a dumped field back; returns the field and its sidecar dict.
+    Raises SimulationError if that lacks n_y, n_z, extent_y_m or
+    extent_z_m."""
+    meta = read_sidecar(path, ("n_y", "n_z", "extent_y_m", "extent_z_m"))
     n_y = int(meta["n_y"])
     n_z = int(meta["n_z"])
     grid = Grid2D(n_y, n_z, float(meta["extent_y_m"]), float(meta["extent_z_m"]), units)

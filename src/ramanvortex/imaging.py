@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import GridOverflowError, SimulationError
 from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
-                   write_sidecar, _axial_phase, _kinetic, _strang_evolve)
+                   write_sidecar, _axial_phase, _fft2_stack, _free_flight,
+                   _ifft2_stack, _strang_spectrum)
 
 logger = logging.getLogger(__name__)
 
@@ -173,12 +174,20 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
         n_steps = max(1, math.ceil(t_window * rate / WINDOW_PHASE_PER_STEP))
         dt = t_window / n_steps
         phase_per_step = rate * dt
-        values[active] = _strang_evolve(values[active], padded.mesh_ksq, dt,
-                                        n_steps, g)
+        spec = _strang_spectrum(values[active], padded.mesh_ksq, dt,
+                                n_steps, g)
         flight[active] -= t_window
-
-    if flight.any():
-        values = _kinetic(values, padded.mesh_ksq, flight)
+        # the window ends in momentum space; the pruned orders join it there
+        pruned = np.flatnonzero(pops <= _PRUNE_POPULATION)
+        if pruned.size:
+            values[pruned] = _fft2_stack(values[pruned])
+        values[active] = spec
+        del spec
+    elif t > 0.0:
+        values = _fft2_stack(values)
+    if t > 0.0:
+        _free_flight(values, padded.mesh_ksq, flight)
+        values = _ifft2_stack(values)
 
     _axial_phase(values, t)
 
@@ -415,10 +424,7 @@ def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
         raw = np.frombuffer(f.read(rows * cols * 2), dtype=">u2")
     if raw.size != rows * cols:
         raise SimulationError(f"{path}: truncated pixel data")
-    meta = read_sidecar(path)
-    missing = sorted({"pitch_m", "min_value", "max_value"} - meta.keys())
-    if missing:
-        raise SimulationError(f"{path}: sidecar lacks {', '.join(missing)}")
+    meta = read_sidecar(path, ("pitch_m", "min_value", "max_value"))
     lo = float(meta["min_value"])
     hi = float(meta["max_value"])
     pixels = lo + raw.reshape(rows, cols).astype(float) / 65535.0 * (hi - lo)

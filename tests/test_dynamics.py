@@ -195,7 +195,7 @@ class TestLadderPropagator:
         for j in range(dim):
             basis = np.zeros((dim, n_pts), dtype=complex)
             basis[j] = 1.0
-            cols.append(prop.apply(basis))
+            cols.append(prop.apply(basis, np.ones(n_pts)))
         return np.stack(cols, axis=1)
 
     def test_matches_dense_exponential(self, ladder):
@@ -218,6 +218,94 @@ class TestLadderPropagator:
         u = self.columns(prop, omega.size, dim)
         product = np.einsum("ikp,jkp->ijp", u, u.conj())
         assert np.max(np.abs(product - np.eye(dim)[:, :, None])) < 1e-13
+
+
+def reference_ladder_unitary(coupling, delta_recoils, n_max, dt, units):
+    """The ladder unitary as built before the sort by |omega|: one eigh
+    per grid point, over blocks of 256 points in grid order."""
+    omega = units.rate_to_internal(1.0) * coupling.omega.values.ravel()
+    dim = 2 * n_max + 1
+    idx = np.arange(dim)
+    n_orders = np.arange(-n_max, n_max + 1, dtype=float)
+    unitary = np.empty((dim, dim, omega.size), dtype=np.complex128)
+    for start in range(0, omega.size, 256):
+        part = omega[start:start + 256]
+        s = 0.5 * np.abs(part)
+        tri = np.zeros((part.size, dim, dim))
+        tri[:, idx, idx] = delta_recoils
+        tri[:, idx[1:], idx[:-1]] = s[:, None]
+        tri[:, idx[:-1], idx[1:]] = s[:, None]
+        w, v = np.linalg.eigh(tri)
+        m = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.transpose(0, 2, 1)
+        wind = np.exp(1j * np.angle(part)[:, None] * n_orders)
+        m *= wind[:, :, None] * wind[:, None, :].conj()
+        unitary[:, :, start:start + part.size] = m.transpose(1, 2, 0)
+    return unitary
+
+
+def reference_ladder_apply(unitary, flat, phase):
+    """The position-space step before apply ran in place, in blocks: one
+    (dim, n_pts) product per column added up in order, then the phase."""
+    out = unitary[:, 0] * flat[0]
+    for j in range(1, len(flat)):
+        out += unitary[:, j] * flat[j]
+    out *= phase
+    return out
+
+
+class TestLadderPropagatorAgainstReference:
+    """The build over distinct |omega| and the blocked in-place apply give
+    the per-point build and the column-by-column product bitwise."""
+
+    N_MAX = 3
+    DT = 0.1
+
+    @pytest.mark.parametrize("points, case", [
+        (32, "centred"), (128, "centred"), (64, "off_centre"),
+        (32, "uniform")])
+    def test_build_matches_the_per_point_reference(self, units, points,
+                                                   case):
+        grid = Grid2D(points, points, 160e-6, 160e-6, units)
+        if case == "centred":
+            coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
+        elif case == "off_centre":
+            lg = BeamSpec("lg", 85e-6, winding=1, center_m=(7.3e-6, -4.1e-6))
+            coupling = coupling_map(lg, BeamSpec("gaussian", 175e-6), 2.0e5,
+                                    0.7, grid)
+        else:
+            coupling = uniform_coupling(2.0e5, grid)
+        s = np.abs(coupling.omega.values)
+        # centred beams repeat |omega|, the uniform one has a single value
+        # and the off-centre one (almost) none
+        distinct = np.unique(s).size
+        assert {"centred": distinct < s.size / 3, "uniform": distinct == 1,
+                "off_centre": distinct > s.size / 2}[case]
+        deltas = detuning_ladder(4.0, self.N_MAX)
+        prop = dynamics._LadderPropagator(coupling, deltas, self.N_MAX,
+                                          self.DT, units)
+        expected = reference_ladder_unitary(coupling, deltas, self.N_MAX,
+                                            self.DT, units)
+        assert np.array_equal(prop.unitary, expected)
+
+    @pytest.mark.parametrize("points", [32, 128])
+    def test_apply_matches_the_reference(self, units, rng, points):
+        grid = Grid2D(points, points, 160e-6, 160e-6, units)
+        n_pts = points * points
+        block = dynamics._APPLY_BLOCK
+        # 32^2: one short block; 128^2: several, so the seams are crossed
+        assert n_pts < block if points == 32 else n_pts >= 4 * block
+        coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
+        prop = dynamics._LadderPropagator(
+            coupling, detuning_ladder(4.0, self.N_MAX), self.N_MAX, self.DT,
+            units)
+        dim = 2 * self.N_MAX + 1
+        flat = (rng.standard_normal((dim, n_pts))
+                + 1j * rng.standard_normal((dim, n_pts)))
+        phase = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, n_pts))
+        expected = reference_ladder_apply(prop.unitary, flat, phase)
+        out = prop.apply(flat, phase)
+        assert out is flat
+        assert np.array_equal(out, expected)
 
 
 class TestConservation:

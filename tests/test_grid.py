@@ -1,11 +1,13 @@
 """Grid geometry, spectral transform unitarity, ladder states, field dumps."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ramanvortex import condensate, dynamics, grid as grid_module
+from ramanvortex import condensate, dynamics, grid as grid_module, imaging
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     relax_ground_state, thomas_fermi_profile)
 from ramanvortex.dynamics import PulseSpec, evolve_pulse
@@ -153,6 +155,19 @@ def test_field_dump_truncated_file_raises(tmp_path, grid64, units, rng):
         load_field(path, units)
 
 
+@pytest.mark.parametrize("key", ["n_y", "n_z", "extent_y_m", "extent_z_m"])
+def test_field_dump_missing_geometry_key_raises(tmp_path, grid64, units, rng,
+                                                key):
+    path = str(tmp_path / "field.f64")
+    save_field(random_normalized_field(grid64, rng), path, units)
+    with open(path + ".meta") as fh:
+        lines = [line for line in fh if not line.startswith(key + "=")]
+    with open(path + ".meta", "w") as fh:
+        fh.writelines(lines)
+    with pytest.raises(SimulationError, match=key):
+        load_field(path, units)
+
+
 def test_sidecar_readable(tmp_path, grid64, units, rng):
     f = random_normalized_field(grid64, rng)
     path = str(tmp_path / "meta.f64")
@@ -166,7 +181,9 @@ class TestSplitStepFftCount:
     """The one split-step loop's FFT budget: 2 n + 2 for an n-step pulse
     (half-steps merged between steps), 3 N + 2 for an N-step relaxation
     (norm and kinetic energy read from the spectrum, one inverse FFT for
-    the rest of the energy)."""
+    the rest of the energy), 2 n + 2 for a time of flight with an n-step
+    mean-field window (free flight applied to the window's last spectrum),
+    plus one forward transform for the orders the window skips."""
 
     @pytest.fixture()
     def fft_calls(self, monkeypatch):
@@ -178,7 +195,7 @@ class TestSplitStepFftCount:
                 calls.append(_original.__name__)
                 return _original(values)
 
-            for module in (grid_module, condensate):
+            for module in (grid_module, condensate, imaging):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         return calls
@@ -204,8 +221,8 @@ class TestSplitStepFftCount:
         steps = []
         apply = dynamics._LadderPropagator.apply
         monkeypatch.setattr(dynamics._LadderPropagator, "apply",
-                            lambda self, flat: steps.append(1) or apply(
-                                self, flat))
+                            lambda self, flat, phase: steps.append(1) or apply(
+                                self, flat, phase))
         state = LadderState.from_single_order(
             thomas_fermi_profile(trap, g2d_from_tf_radius(trap, 30e-6, units),
                                  grid32).field, 2)
@@ -213,3 +230,20 @@ class TestSplitStepFftCount:
         evolve_pulse(state, pulse, trap, 0.0)
         assert len(steps) > 1
         assert len(fft_calls) == 2 * len(steps) + 2
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_time_of_flight_costs_2n_plus_2(self, grid32, trap, units,
+                                            fft_calls, caplog, pruned):
+        g2d = g2d_from_tf_radius(trap, 30e-6, units)
+        cloud = thomas_fermi_profile(trap, g2d, grid32).field.values
+        state = LadderState(grid32, 1)
+        state.values[:] = cloud / math.sqrt(3.0)
+        if pruned:
+            state.values[0] = 0.0
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
+            imaging.time_of_flight(state, 1e-3, 2e-4, g2d)
+        (record,) = caplog.records
+        n_steps = int(re.search(r"window of (\d+) steps",
+                                record.getMessage()).group(1))
+        assert n_steps > 1
+        assert len(fft_calls) == 2 * n_steps + 2 + pruned

@@ -210,13 +210,13 @@ class TestTimeOfFlight:
         # grows 4x, the window's step count must not.
         window_s = 5e-4
         steps = []
-        evolve = imaging._strang_evolve
+        window = imaging._strang_spectrum
 
         def counted(values, ksq, dt, n_steps, g, *args):
             steps.append(n_steps)
-            return evolve(values, ksq, dt, n_steps, g, *args)
+            return window(values, ksq, dt, n_steps, g, *args)
 
-        monkeypatch.setattr(imaging, "_strang_evolve", counted)
+        monkeypatch.setattr(imaging, "_strang_spectrum", counted)
         expected = []
         for points in (64, 128):
             grid = Grid2D(points, points, 160e-6, 160e-6, units)
