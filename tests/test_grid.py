@@ -168,6 +168,20 @@ def test_field_dump_missing_geometry_key_raises(tmp_path, grid64, units, rng,
         load_field(path, units)
 
 
+@pytest.mark.parametrize("key", ["n_y", "n_z"])
+@pytest.mark.parametrize("size", ["thirty", "48", "0", "8.0"])
+def test_field_dump_bad_size_raises(tmp_path, grid64, units, rng, key, size):
+    path = str(tmp_path / "field.f64")
+    save_field(random_normalized_field(grid64, rng), path, units)
+    with open(path + ".meta") as fh:
+        lines = [f"{key}={size}\n" if line.startswith(key + "=") else line
+                 for line in fh]
+    with open(path + ".meta", "w") as fh:
+        fh.writelines(lines)
+    with pytest.raises(SimulationError, match=f"field.f64.*{key}"):
+        load_field(path, units)
+
+
 def test_sidecar_readable(tmp_path, grid64, units, rng):
     f = random_normalized_field(grid64, rng)
     path = str(tmp_path / "meta.f64")

@@ -11,7 +11,7 @@ from ramanvortex.errors import SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                               bilinear_sample)
 from ramanvortex.imaging import ImagePlane, absorption_image, time_of_flight
-from ramanvortex.optics import BeamSpec, CouplingMap
+from ramanvortex.optics import BeamSpec, CouplingMap, coupling_map
 from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
                                PhysicalParams)
 
@@ -27,6 +27,9 @@ CONSTRUCTORS = {
     "coupling_peak": lambda x, units: CouplingMap(
         TransverseField(Grid2D(32, 32, 160e-6, 160e-6, units),
                         np.ones((32, 32), dtype=complex)), 0, x),
+    "coupling_values": lambda x, units: CouplingMap(
+        TransverseField(Grid2D(32, 32, 160e-6, 160e-6, units),
+                        np.full((32, 32), x, dtype=complex)), 0, 1.0),
     "image_pitch": lambda x, units: ImagePlane(np.ones((4, 4)), x),
     "tf_radius": lambda x, units: g2d_from_tf_radius(TrapSpec(40.0, 40.0),
                                                      x, units),
@@ -57,6 +60,13 @@ CALLS = {
     "tof_pad_factor": lambda x, units: time_of_flight(
         LadderState.from_single_order(_field(units), 1), 1e-3, 0.0, 0.0,
         pad_factor=x),
+    "coupling_rel_phase": lambda x, units: coupling_map(
+        BeamSpec("lg", 50e-6, winding=1), BeamSpec("gaussian", 80e-6), 1e4,
+        x, Grid2D(32, 32, 160e-6, 160e-6, units)),
+    "beam_phase": lambda x, units: coupling_map(
+        BeamSpec("lg", 50e-6, winding=1, phase=x),
+        BeamSpec("gaussian", 80e-6), 1e4, 0.0,
+        Grid2D(32, 32, 160e-6, 160e-6, units)),
 }
 
 

@@ -467,3 +467,12 @@ class TestPgmRoundTrip:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(SimulationError):
             read_pgm(str(path))
+
+    @pytest.mark.parametrize("header", [b"P5\n\n65535\n",
+                                        b"P5\n2 2\n6.5e4\n"],
+                             ids=["empty_size", "non_integer_maxval"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(SimulationError, match="bad.pgm"):
+            read_pgm(str(path))
