@@ -10,7 +10,10 @@ and the 2D Thomas-Fermi normalization gives
 
 relax_ground_state refines a seed by the same split-step loop that pulses
 use (grid._strang_steps), run in imaginary time and renormalised after each
-step; _energies is the one energy formula, shared with gpe_energy.
+step.  Imaginary time has only real operators, so the state runs as real
+rows (_real_rows) through half-spectrum FFTs and becomes complex again only
+at the final phase fix.  _energies is the one energy formula, read from
+the rows' half spectrum and shared with gpe_energy.
 """
 
 from __future__ import annotations
@@ -123,17 +126,37 @@ def gaussian_profile(trap: TrapSpec, grid: Grid2D) -> GroundState:
                        units.energy_to_si(mu), _tf_radii_m(mu, wy, wz, units))
 
 
-def _energies(spec: np.ndarray, potential: np.ndarray, g: float,
-              grid: Grid2D) -> tuple[float, float, float, np.ndarray]:
-    """Kinetic, trap and g * quartic energy of the state with orthonormal
-    spectrum spec, and the state itself.  The kinetic term is read from
-    spec, then one inverse FFT (which consumes spec) gives the rest."""
-    e_kin = float(np.sum(grid.mesh_ksq * np.abs(spec) ** 2) * grid.cell_area)
-    psi = _ifft2_stack(spec)
-    dens = np.abs(psi) ** 2
-    e_pot = float(np.sum(potential * dens) * grid.cell_area)
-    quartic = float(np.sum(dens * dens) * grid.cell_area)
-    return e_kin, e_pot, g * quartic, psi
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """A complex field as a stack of real rows, [Re psi] or, when Im psi is
+    not all zero, [Re psi, Im psi]: the rows' squares sum to |psi|^2."""
+    if values.imag.any():
+        return np.stack([values.real, values.imag])
+    return values.real[None]
+
+
+def _half_plane(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Parseval weights of the half spectrum (rfft2) of a real field: 1 on
+    the zero and Nyquist columns of k_y, 2 on the others, which stand for
+    their mirror images too.  Returns the weights and the weights times
+    ksq on the half plane."""
+    weights = np.full(grid.n_y // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return weights, weights * grid.mesh_ksq[:, :grid.n_y // 2 + 1]
+
+
+def _energies(spec: np.ndarray, kinetic: np.ndarray, potential: np.ndarray,
+              g: float, grid: Grid2D
+              ) -> tuple[float, float, float, np.ndarray]:
+    """Kinetic, trap and g * quartic energy of the state whose real rows
+    have the orthonormal half spectrum spec, and the rows themselves.  The
+    kinetic term is read from spec (kinetic is _half_plane's weighted
+    ksq), then one inverse FFT (which consumes spec) gives the rest."""
+    e_kin = float(np.vdot(spec, kinetic * spec).real * grid.cell_area)
+    rows = _ifft2_stack(spec, grid.n_y)
+    dens = np.sum(rows * rows, axis=0)
+    e_pot = float(np.vdot(potential, dens) * grid.cell_area)
+    quartic = float(np.vdot(dens, dens) * grid.cell_area)
+    return e_kin, e_pot, g * quartic, rows
 
 
 def gpe_energy(field: TransverseField, trap: TrapSpec,
@@ -141,7 +164,8 @@ def gpe_energy(field: TransverseField, trap: TrapSpec,
     """Total energy per particle (J): kinetic + trap + interaction/2."""
     grid = field.grid
     g = grid.units.coupling2d_to_internal(g2d_j_m2)
-    e_kin, e_pot, e_int2, _ = _energies(_fft2_stack(field.values),
+    e_kin, e_pot, e_int2, _ = _energies(_fft2_stack(_real_rows(field.values)),
+                                        _half_plane(grid)[1],
                                         trap.potential_internal(grid), g, grid)
     return grid.units.energy_to_si(e_kin + e_pot + 0.5 * e_int2)
 
@@ -154,15 +178,19 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
     (2004)): grid's split-step loop in imaginary time, renormalised after
     every step.
 
-    The norm (Parseval) and kinetic energy are read from each step's
-    half-stepped spectrum and one inverse FFT gives the rest of the
-    energy, so N steps cost 3 N + 2 FFTs.  Stops when the relative energy
-    change per step falls below tol.  The energy is non-increasing; a rise
-    beyond float noise means the step is too large, which the entry guard
-    rejects up front: dt * max(V_max, kinetic at Nyquist) must lie in
-    (0, 1/2).  A state holding NaN or inf, the seed included, raises
-    SimulationError at once.  energy_log, if given, collects the per-step
-    energies (internal units).
+    Every operator of the flow is real, so the seed runs as real rows
+    (_real_rows: one row, or two when its imaginary part is not zero)
+    through half-spectrum transforms, and complex values return only at
+    the final phase fix.  The norm (Parseval) and kinetic energy are read
+    from each step's half-stepped spectrum and one inverse FFT gives the
+    rest of the energy, so N steps cost 3 N + 2 real FFTs.
+
+    Stops when the relative energy change per step falls below tol.  The
+    energy is non-increasing; a rise beyond float noise means the step is
+    too large, which the entry guard rejects up front: dt * max(V_max,
+    kinetic at Nyquist) must lie in (0, 1/2).  A state holding NaN or inf,
+    the seed included, raises SimulationError at once.  energy_log, if
+    given, collects the per-step energies (internal units).
     """
     grid = seed.field.grid
     units = grid.units
@@ -175,12 +203,13 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
             f"imaginary-time step {dt_s} s is unstable here: "
             f"dt * stiffest rate = {dt * stiffest:.3g} is not in (0, 0.5)")
 
-    steps = _strang_steps(seed.field.values[None], grid.mesh_ksq, dt, g,
-                          potential)
+    weights, kinetic = _half_plane(grid)
+    steps = _strang_steps(_real_rows(seed.field.values), grid.mesh_ksq, dt,
+                          g, potential)
     energy = math.inf
     for step, (spec, pending) in enumerate(steps):
         state = spec * pending
-        norm = float(np.sum(np.abs(state) ** 2) * grid.cell_area)
+        norm = float(np.vdot(state, weights * state).real * grid.cell_area)
         # Every NaN or inf in the state reaches the norm before the energy;
         # written as not (0 < x < inf) so that NaN trips it.
         if not 0.0 < norm < math.inf:
@@ -190,7 +219,8 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
         scale = 1.0 / math.sqrt(norm)
         spec *= scale
         state *= scale
-        e_kin, e_pot, e_int2, psi = _energies(state, potential, g, grid)
+        e_kin, e_pot, e_int2, rows = _energies(state, kinetic, potential, g,
+                                               grid)
         new_energy = e_kin + e_pot + 0.5 * e_int2
         if step > 0 and energy_log is not None:
             energy_log.append(new_energy)
@@ -205,8 +235,10 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
     logger.debug("ground state relaxed in %d steps: relative energy change "
                  "%.3g < tol %g", step, residual, tol)
 
-    # Fix the global phase to 0 at the density peak.
-    psi = psi[0]
+    # Back to complex, and fix the global phase to 0 at the density peak.
+    psi = rows[0].astype(np.complex128)
+    if len(rows) == 2:
+        psi.imag = rows[1]
     peak = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
     psi *= np.exp(-1j * np.angle(psi[peak]))
     mu = e_kin + e_pot + e_int2

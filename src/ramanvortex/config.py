@@ -425,6 +425,9 @@ def normalize(data) -> dict:
     if phases is not None and len(phases) != study["n_trials"]:
         problems.append(f"study.phases_rad: {len(phases)} phases for "
                         f"{study['n_trials']} trials")
+    elif phases is not None and len(set(phases)) < 2:
+        problems.append("study.phases_rad: the slope fit needs at least "
+                        f"two distinct phases (got {phases})")
     _scenario_rules(out, problems)
 
     if problems:

@@ -218,15 +218,22 @@ class LadderState:
 
 
 def _fft2_stack(values: np.ndarray) -> np.ndarray:
-    # Orthonormal so Parseval sums need no grid-size factors.
-    return scipy.fft.fft2(values, axes=(-2, -1), norm="ortho",
-                          workers=_FFT_WORKERS)
+    # Orthonormal so Parseval sums need no grid-size factors.  A real stack
+    # takes the half spectrum (rfft2): columns 0 .. n_y/2 of the y axis.
+    fft2 = scipy.fft.rfft2 if np.isrealobj(values) else scipy.fft.fft2
+    return fft2(values, axes=(-2, -1), norm="ortho", workers=_FFT_WORKERS)
 
 
-def _ifft2_stack(values: np.ndarray) -> np.ndarray:
-    # In place: values is overwritten, so callers pass a temporary.
-    return scipy.fft.ifft2(values, axes=(-2, -1), norm="ortho",
-                           overwrite_x=True, workers=_FFT_WORKERS)
+def _ifft2_stack(values: np.ndarray, n_y: int | None = None) -> np.ndarray:
+    # In place: values is overwritten, so callers pass a temporary.  Given
+    # n_y, values is the half spectrum of a real stack with n_y columns,
+    # and the inverse (irfft2) is that real stack.
+    if n_y is None:
+        return scipy.fft.ifft2(values, axes=(-2, -1), norm="ortho",
+                               overwrite_x=True, workers=_FFT_WORKERS)
+    return scipy.fft.irfft2(values, s=(values.shape[-2], n_y), axes=(-2, -1),
+                            norm="ortho", overwrite_x=True,
+                            workers=_FFT_WORKERS)
 
 
 # Phase advance allowed per split step at the stiffest split-off rate.
@@ -248,13 +255,15 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     """Strang steps of a (dim, n_z, n_y) order stack, without end.
 
     tau is the step exponent, i dt in real time and dt in imaginary time,
-    which then runs in real arithmetic.  Each step is a kinetic half-step
-    e^{-tau ksq / 2}, the position-space step and another half-step.  The
-    position-space step multiplies by phase = e^{-tau (V + g rho)}, which
-    is the identity in order space and so commutes with the ladder.  When
-    a ladder is given, its apply(flat, phase) does both in place on the
-    (dim, n_points) view of the stack: the exact per-point ladder
-    exponential, then the phase.
+    where every factor is real.  A real stack (which needs a real tau)
+    therefore stays real and takes half-spectrum transforms, rfft2 on the
+    half plane ksq[:, :n_y/2 + 1]; spec is then its half spectrum.  Each
+    step is a kinetic half-step e^{-tau ksq / 2}, the position-space step
+    and another half-step.  The position-space step multiplies by phase =
+    e^{-tau (V + g rho)}, which is the identity in order space and so
+    commutes with the ladder.  When a ladder is given, its
+    apply(flat, phase) does both in place on the (dim, n_points) view of
+    the stack: the exact per-point ladder exponential, then the phase.
 
     Yields (spec, pending) at each step boundary, before the first step
     and after each one: the state there is spec * pending (pending is 1.0
@@ -265,6 +274,9 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     once transformed, so a caller that drops its own reference does not
     hold it through the loop.
     """
+    n_y = values.shape[-1] if np.isrealobj(values) else None
+    if n_y is not None:
+        ksq = ksq[:, :n_y // 2 + 1]
     half = np.exp(-0.5 * tau * ksq)
     full = half * half
     spec = _fft2_stack(values)
@@ -272,7 +284,7 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     yield spec, 1.0
     spec *= half
     while True:
-        values = _ifft2_stack(spec)
+        values = _ifft2_stack(spec, n_y)
         del spec
         rho = np.sum(np.abs(values) ** 2, axis=0)
         scalar = g * rho if potential is None else potential + g * rho
@@ -440,14 +452,26 @@ def read_sidecar(path: str, required: tuple[str, ...] = ()) -> dict[str, str]:
 def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str, str]]:
     """Read a dumped field back; returns the field and its sidecar dict.
     Raises SimulationError if that lacks n_y, n_z, extent_y_m or
-    extent_z_m, or if n_y or n_z is not a power of two >= 2."""
+    extent_z_m, if n_y or n_z is not a power of two >= 2, or if an extent
+    is not a finite positive number."""
     meta = read_sidecar(path, ("n_y", "n_z", "extent_y_m", "extent_z_m"))
     for key in ("n_y", "n_z"):
         if not (meta[key].isdecimal() and _is_power_of_two(int(meta[key]))):
             raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
                                   f"is not a power of two >= 2")
+    extents = []
+    for key in ("extent_y_m", "extent_z_m"):
+        try:
+            extent = float(meta[key])
+        except ValueError:
+            extent = math.nan
+        # written as not (0 < x < inf) so that NaN is rejected too
+        if not 0.0 < extent < math.inf:
+            raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
+                                  f"is not a finite positive number")
+        extents.append(extent)
     n_y, n_z = int(meta["n_y"]), int(meta["n_z"])
-    grid = Grid2D(n_y, n_z, float(meta["extent_y_m"]), float(meta["extent_z_m"]), units)
+    grid = Grid2D(n_y, n_z, *extents, units)
     raw = np.fromfile(path, dtype="<f8")
     expected = 2 * n_y * n_z
     if raw.size != expected:

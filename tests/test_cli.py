@@ -92,6 +92,15 @@ class TestValidate:
         assert run_cli(["validate", config]) == 2
         assert "study.phases_rad[0]: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_constant_study_phases_exit_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "flat.json",
+                              study={"n_trials": 3,
+                                     "phases_rad": [1, 1, 1]})
+        assert run_cli([command, config]) == 2
+        assert "two distinct phases" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

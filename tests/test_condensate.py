@@ -265,19 +265,46 @@ def reference_relax_ground_state(seed, trap, g2d_j_m2, dt_s=2e-6, tol=1e-9,
 
 
 class TestRelaxationMatchesReference:
-    @pytest.mark.parametrize("case", ["thomas_fermi", "gaussian_g0"])
-    def test_same_steps_and_state(self, case, trap, g2d, grid64):
-        if case == "thomas_fermi":
-            seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid64), g2d, 2e-6
-        else:
-            seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid64)
+    """The real-row loop against the complex-arithmetic reference: a real
+    seed is one row, a complex one two, and the half spectrum runs along
+    y, so non-square grids check that its axis is the right one."""
+
+    @pytest.mark.parametrize("case", ["thomas_fermi", "gaussian_g0",
+                                      "complex_seed", "grid_64x32",
+                                      "grid_32x64"])
+    def test_same_steps_and_state(self, case, trap, g2d, grid64, units):
+        grid = {"grid_64x32": Grid2D(64, 32, 160e-6, 80e-6, units),
+                "grid_32x64": Grid2D(32, 64, 80e-6, 160e-6, units),
+                }.get(case, grid64)
+        seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid), g2d, 2e-6
+        if case == "gaussian_g0":
+            seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid)
             g, dt_s = 0.0, 3e-6
+        elif case == "complex_seed":
+            # a global phase and a gentle ramp along y; a steep ramp puts
+            # weight in the dipole mode, which the flow damps only at the
+            # trap frequency, too slowly to reach tol in max_steps
+            ramp = np.exp(1j * (0.3 + 0.01 * grid.y_m[None, :] / RADIUS_Y))
+            seed = GroundState(TransverseField(grid, seed.field.values * ramp),
+                               seed.chemical_potential_j, seed.tf_radii_m)
         log, reference_log = [], []
         out = relax_ground_state(seed, trap, g, dt_s=dt_s, energy_log=log)
         reference = reference_relax_ground_state(seed, trap, g, dt_s=dt_s,
                                                  energy_log=reference_log)
         assert len(log) == len(reference_log)
         diff = out.field.values - reference.field.values
-        assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid64.cell_area) < 1e-12
+        assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell_area) < 1e-12
         assert out.chemical_potential_j == pytest.approx(
             reference.chemical_potential_j, rel=1e-12)
+
+    def test_gpe_energy_of_a_vortex(self, trap, g2d, grid64, units):
+        # charge 1 with a linear core: (y + i z) times the Thomas-Fermi
+        # amplitude, so the field has two real rows
+        tf = thomas_fermi_profile(trap, g2d, grid64).field.values
+        field = TransverseField(
+            grid64, tf * (grid64.mesh_y + 1j * grid64.mesh_z)).normalized()
+        g = units.coupling2d_to_internal(g2d)
+        e_kin, e_pot, e_int2 = _reference_split_energies(
+            field.values, trap.potential_internal(grid64), g, grid64)
+        assert gpe_energy(field, trap, g2d) == pytest.approx(
+            units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)

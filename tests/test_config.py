@@ -140,6 +140,16 @@ class TestNormalize:
         data = minimal(study={"n_trials": 4, "phases_rad": [0.0, 1.0]})
         assert any("2 phases for 4 trials" in p for p in problems_of(data))
 
+    def test_phases_must_take_two_distinct_values(self):
+        # the phase study's slope fit needs two, so validation must catch
+        # a constant list before any trial runs
+        data = minimal(study={"n_trials": 3, "phases_rad": [1, 1, 1]})
+        assert problems_of(data) == [
+            "study.phases_rad: the slope fit needs at least two distinct "
+            "phases (got [1.0, 1.0, 1.0])"]
+        normalize(minimal(study={"n_trials": 3,
+                                 "phases_rad": [1.0, 1.0, 2.0]}))
+
     def test_phases_must_be_finite(self):
         text = json.dumps(minimal(study={"n_trials": 4, "phases_rad": [
             math.nan, 1.0, math.inf, -math.inf]}))

@@ -168,16 +168,31 @@ def test_field_dump_missing_geometry_key_raises(tmp_path, grid64, units, rng,
         load_field(path, units)
 
 
-@pytest.mark.parametrize("key", ["n_y", "n_z"])
-@pytest.mark.parametrize("size", ["thirty", "48", "0", "8.0"])
-def test_field_dump_bad_size_raises(tmp_path, grid64, units, rng, key, size):
+def dump_with_sidecar_value(tmp_path, grid, units, rng, key, value):
+    """Dump a random field and set one key of its sidecar to value."""
     path = str(tmp_path / "field.f64")
-    save_field(random_normalized_field(grid64, rng), path, units)
+    save_field(random_normalized_field(grid, rng), path, units)
     with open(path + ".meta") as fh:
-        lines = [f"{key}={size}\n" if line.startswith(key + "=") else line
+        lines = [f"{key}={value}\n" if line.startswith(key + "=") else line
                  for line in fh]
     with open(path + ".meta", "w") as fh:
         fh.writelines(lines)
+    return path
+
+
+@pytest.mark.parametrize("key", ["n_y", "n_z"])
+@pytest.mark.parametrize("size", ["thirty", "48", "0", "8.0"])
+def test_field_dump_bad_size_raises(tmp_path, grid64, units, rng, key, size):
+    path = dump_with_sidecar_value(tmp_path, grid64, units, rng, key, size)
+    with pytest.raises(SimulationError, match=f"field.f64.*{key}"):
+        load_field(path, units)
+
+
+@pytest.mark.parametrize("key", ["extent_y_m", "extent_z_m"])
+@pytest.mark.parametrize("extent", ["wide", "nan", "inf", "-1", "0"])
+def test_field_dump_bad_extent_raises(tmp_path, grid64, units, rng, key,
+                                      extent):
+    path = dump_with_sidecar_value(tmp_path, grid64, units, rng, key, extent)
     with pytest.raises(SimulationError, match=f"field.f64.*{key}"):
         load_field(path, units)
 
@@ -197,7 +212,8 @@ class TestSplitStepFftCount:
     (norm and kinetic energy read from the spectrum, one inverse FFT for
     the rest of the energy), 2 n + 2 for a time of flight with an n-step
     mean-field window (free flight applied to the window's last spectrum),
-    plus one forward transform for the orders the window skips."""
+    plus one forward transform for the orders the window skips.  Each call
+    is recorded as (name, dtype, shape) of the array it is given."""
 
     @pytest.fixture()
     def fft_calls(self, monkeypatch):
@@ -205,9 +221,9 @@ class TestSplitStepFftCount:
         for name in ("_fft2_stack", "_ifft2_stack"):
             original = getattr(grid_module, name)
 
-            def counted(values, _original=original):
-                calls.append(_original.__name__)
-                return _original(values)
+            def counted(values, *args, _original=original):
+                calls.append((_original.__name__, values.dtype, values.shape))
+                return _original(values, *args)
 
             for module in (grid_module, condensate, imaging):
                 if getattr(module, name, None) is original:
@@ -229,6 +245,12 @@ class TestSplitStepFftCount:
         relax_ground_state(seed, trap, g2d, tol=1e-6, energy_log=log)
         assert len(log) > 10
         assert len(fft_calls) == 3 * len(log) + 2
+        # the loop runs on real rows: forward transforms get real arrays,
+        # inverse ones half spectra, and none a complex full plane
+        assert {(name, dtype.kind, shape[-2:])
+                for name, dtype, shape in fft_calls} == {
+            ("_fft2_stack", "f", grid32.shape),
+            ("_ifft2_stack", "c", (grid32.n_z, grid32.n_y // 2 + 1))}
 
     def test_pulse_costs_2n_plus_2(self, grid32, trap, units, fft_calls,
                                    monkeypatch):
