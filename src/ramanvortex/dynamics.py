@@ -166,6 +166,10 @@ class _LadderPropagator:
     The arithmetic per point is that of a per-point eigh, so U is the same
     bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B per grid
     point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.
+
+    U is the largest array of a run and sets its peak memory: beside it a
+    pulse holds only the input state and the one stack the split-step loop
+    works in, and the time of flight stays below it (README, "Memory").
     """
 
     def __init__(self, coupling: CouplingMap, delta_recoils: np.ndarray,
@@ -247,7 +251,7 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
     n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
     deltas = detuning_ladder(pulse.delta_nu_recoils, state.n_max)
     ladder = _LadderPropagator(pulse.coupling, deltas, state.n_max, dt, units)
-    values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
+    values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
                             g, potential, ladder)
 
     out = LadderState(grid, state.n_max, values)
@@ -277,7 +281,7 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
 
     norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
     n_steps, dt = _resolve_steps(state, potential, g, t_total, None)
-    values = _strang_evolve(state.values, grid.mesh_ksq, dt, n_steps,
+    values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
                             g, potential)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
     _check_norm(norm_before, norm_after, "free evolution")

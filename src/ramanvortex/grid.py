@@ -22,9 +22,9 @@ from .units import UnitSystem
 
 DUMP_SCHEMA_VERSION = 1
 
-# scipy.fft worker count used by every transform in the package.  One
-# worker keeps runs bitwise reproducible; more workers stay deterministic
-# to rounding because each 1D line is still summed in a fixed order.
+# scipy.fft worker count used by every transform in the package.  Bundles
+# are checked byte-identical at 1, 2 and 4 workers; other counts are not
+# checked.
 _FFT_WORKERS = 1
 
 
@@ -210,18 +210,37 @@ class LadderState:
                            self.axial_shift_m)
 
     def total_density(self) -> np.ndarray:
-        return np.sum(np.abs(self.values) ** 2, axis=0)
+        return _density(self.values)
 
     def population(self, n: int) -> float:
         return float(np.sum(np.abs(self.values[self.index(n)]) ** 2)
                      * self.grid.cell_area)
 
 
+def _density(values: np.ndarray, orders=None) -> np.ndarray:
+    """sum_n |values[n]|^2 over the given orders of a stack (all by
+    default), added one order at a time into one plane: bitwise
+    np.sum(np.abs(values[orders]) ** 2, axis=0), with no stack-sized
+    temporaries."""
+    rho = np.zeros(values.shape[1:])
+    term = np.empty_like(rho)
+    for n in range(len(values)) if orders is None else orders:
+        np.abs(values[n], out=term)
+        np.square(term, out=term)
+        rho += term
+    return rho
+
+
 def _fft2_stack(values: np.ndarray) -> np.ndarray:
-    # Orthonormal so Parseval sums need no grid-size factors.  A real stack
-    # takes the half spectrum (rfft2): columns 0 .. n_y/2 of the y axis.
-    fft2 = scipy.fft.rfft2 if np.isrealobj(values) else scipy.fft.fft2
-    return fft2(values, axes=(-2, -1), norm="ortho", workers=_FFT_WORKERS)
+    # Orthonormal so Parseval sums need no grid-size factors.  A complex
+    # stack is transformed in place, as in _ifft2_stack, so callers pass a
+    # temporary.  A real stack takes the half spectrum (rfft2): columns
+    # 0 .. n_y/2 of the y axis; rfft2 cannot run in place and only reads it.
+    if np.isrealobj(values):
+        return scipy.fft.rfft2(values, axes=(-2, -1), norm="ortho",
+                               workers=_FFT_WORKERS)
+    return scipy.fft.fft2(values, axes=(-2, -1), norm="ortho",
+                          overwrite_x=True, workers=_FFT_WORKERS)
 
 
 def _ifft2_stack(values: np.ndarray, n_y: int | None = None) -> np.ndarray:
@@ -270,9 +289,13 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     at the start, the closing half-step after that).  The caller may scale
     spec in place; resuming applies the half-steps between two steps as
     one merged factor.  To end, the caller multiplies the last spec by
-    pending and transforms back.  values is never written and is released
-    once transformed, so a caller that drops its own reference does not
-    hold it through the loop.
+    pending and transforms back.
+
+    values is consumed.  A complex stack is transformed in place, forward
+    and back, so callers hand over a temporary (state.values.copy()) and
+    the loop holds that one buffer through every step, with the density
+    and phase as planes beside it.  A real stack is only read (rfft2
+    cannot run in place) and released once transformed.
     """
     n_y = values.shape[-1] if np.isrealobj(values) else None
     if n_y is not None:
@@ -286,16 +309,18 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
     while True:
         values = _ifft2_stack(spec, n_y)
         del spec
-        rho = np.sum(np.abs(values) ** 2, axis=0)
-        scalar = g * rho if potential is None else potential + g * rho
+        scalar = _density(values)
+        scalar *= g
+        if potential is not None:
+            scalar += potential
         phase = np.exp(-tau * scalar)
+        del scalar
         if ladder is None:
             values *= phase
         else:
             values = ladder.apply(values.reshape(len(values), -1),
                                   phase.ravel()).reshape(values.shape)
-        # only the stack and its spectrum are held through the transform
-        del rho, scalar, phase
+        del phase
         spec = _fft2_stack(values)
         del values
         yield spec, half
@@ -308,7 +333,8 @@ def _strang_spectrum(values: np.ndarray, ksq: np.ndarray, dt: float,
                      ladder=None) -> np.ndarray:
     """n_steps real-time Strang steps (_strang_steps with tau = i dt),
     ended in momentum space: returns the spectrum of the evolved stack.
-    Costs 2 n_steps + 1 FFTs, and values is not held through the loop."""
+    Costs 2 n_steps + 1 FFTs.  values is consumed: the spectrum is
+    computed in its buffer."""
     steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
     del values
     # Yields are dropped at once: a spectrum kept across a step would hold
@@ -324,7 +350,7 @@ def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
                    n_steps: int, g: float, potential: np.ndarray | None = None,
                    ladder=None) -> np.ndarray:
     """_strang_spectrum transformed back: the loop of pulses and delays.
-    Costs 2 n_steps + 2 FFTs."""
+    Costs 2 n_steps + 2 FFTs.  values is consumed, as in _strang_steps."""
     return _ifft2_stack(_strang_spectrum(values, ksq, dt, n_steps, g,
                                          potential, ladder))
 

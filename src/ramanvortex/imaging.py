@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import GridOverflowError, SimulationError
 from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
-                   write_sidecar, _axial_phase, _fft2_stack, _free_flight,
-                   _ifft2_stack, _strang_spectrum)
+                   write_sidecar, _axial_phase, _density, _fft2_stack,
+                   _free_flight, _ifft2_stack, _strang_spectrum)
 
 logger = logging.getLogger(__name__)
 
@@ -102,11 +102,15 @@ def _require_square_pixels(grid: Grid2D) -> float:
 # Time of flight
 # ---------------------------------------------------------------------------
 
-def _embed(values: np.ndarray, grid: Grid2D, padded: Grid2D) -> np.ndarray:
-    out = np.zeros((values.shape[0],) + padded.shape, dtype=np.complex128)
+def _embed(state: LadderState, padded: Grid2D, indices) -> np.ndarray:
+    """The stack rows state.values[indices], zero-embedded at the centre
+    of the padded grid, in a new stack."""
+    grid = state.grid
+    out = np.zeros((len(indices),) + padded.shape, dtype=np.complex128)
     z0 = (padded.n_z - grid.n_z) // 2
     y0 = (padded.n_y - grid.n_y) // 2
-    out[:, z0:z0 + grid.n_z, y0:y0 + grid.n_y] = values
+    for row, k in zip(out, indices):
+        row[z0:z0 + grid.n_z, y0:y0 + grid.n_y] = state.values[k]
     return out
 
 
@@ -154,37 +158,43 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     window_s = min(meanfield_window_s, t_s)
 
     padded = state.grid.padded(pad_factor)
-    values = _embed(state.values, state.grid, padded)
+    dim = len(state.values)
     g = units.coupling2d_to_internal(g2d_j_m2)
     t = units.time_to_internal(t_s)
     t_window = units.time_to_internal(window_s) if g != 0.0 else 0.0
 
     # free-flight time per order: active orders fly what the window leaves
-    flight = np.full(len(values), t)
+    flight = np.full(dim, t)
     active, n_steps, dt, phase_per_step = (), 0, 0.0, 0.0
     if t_window > 0.0:
-        pops = np.sum(np.abs(values) ** 2, axis=(1, 2)) * padded.cell_area
+        # populations and rho_max are read off the unpadded state
+        pops = np.array([state.population(n) for n in state.orders])
         # not (x <= floor) keeps a NaN order, so the rate check below sees it
         active = np.flatnonzero(~(pops <= _PRUNE_POPULATION))
-        rho_max = np.sum(np.abs(values[active]) ** 2, axis=0).max()
-        rate = float(abs(g) * rho_max)
+        pruned = np.flatnonzero(pops <= _PRUNE_POPULATION)
+        rate = float(abs(g) * _density(state.values, active).max())
         if not math.isfinite(rate):
             raise SimulationError(
                 f"mean-field phase rate is {rate}: the state holds NaN or inf")
         n_steps = max(1, math.ceil(t_window * rate / WINDOW_PHASE_PER_STEP))
         dt = t_window / n_steps
         phase_per_step = rate * dt
-        spec = _strang_spectrum(values[active], padded.mesh_ksq, dt,
-                                n_steps, g)
+        # only the active orders are embedded, as the loop's temporary
+        spec = _strang_spectrum(_embed(state, padded, active),
+                                padded.mesh_ksq, dt, n_steps, g)
         flight[active] -= t_window
         # the window ends in momentum space; the pruned orders join it there
-        pruned = np.flatnonzero(pops <= _PRUNE_POPULATION)
         if pruned.size:
-            values[pruned] = _fft2_stack(values[pruned])
-        values[active] = spec
-        del spec
-    elif t > 0.0:
-        values = _fft2_stack(values)
+            values = np.empty((dim,) + padded.shape, dtype=np.complex128)
+            values[active] = spec
+            del spec
+            values[pruned] = _fft2_stack(_embed(state, padded, pruned))
+        else:
+            values = spec
+    else:
+        values = _embed(state, padded, range(dim))
+        if t > 0.0:
+            values = _fft2_stack(values)
     if t > 0.0:
         _free_flight(values, padded.mesh_ksq, flight)
         values = _ifft2_stack(values)
@@ -202,7 +212,7 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
         "time of flight %.3g s: mean-field window of %d steps, dt %.3g s, "
         "over %d of %d orders; g*rho_max*dt %.3g rad (limit %g); "
         "boundary mass fraction %.3g (limit %g)",
-        t_s, n_steps, dt * units.time_s, len(active), len(values),
+        t_s, n_steps, dt * units.time_s, len(active), dim,
         phase_per_step, WINDOW_PHASE_PER_STEP, frac, _BOUNDARY_MASS_LIMIT)
     if not math.isfinite(frac):
         raise SimulationError(

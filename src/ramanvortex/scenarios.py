@@ -5,7 +5,8 @@ writes a deterministic bundle into the output directory: 16-bit PGM images
 with text sidecars, delimited tables (per-pulse populations, study and
 sweep tables), binary field dumps of the populated orders, the normalized
 config echo, and a key/value machine summary.  With a fixed config and
-single-threaded execution the bundle is bit-identical across runs.  Every
+BLAS thread count the bundle is bit-identical across runs, checked at 1, 2
+and 4 FFT workers.  Every
 scenario takes its pulses from ``ExperimentConfig.pulses``; the sweep and
 the phase study vary that sequence rather than rebuilding pulses.
 

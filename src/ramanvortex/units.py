@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import h, hbar
+# Planck constant, exact in the SI since 2019, and hbar = h / 2 pi; both are
+# bitwise scipy.constants.h and .hbar, without importing that module.
+h = 6.62607015e-34
+hbar = h / (2.0 * math.pi)
 
 # Sodium D line values used by the shipped presets.
 SODIUM_MASS_KG = 3.8175e-26

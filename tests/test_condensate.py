@@ -158,7 +158,7 @@ class TestRelaxation:
         half_kin = np.exp(-0.5j * dt * grid128.mesh_ksq)
         psi = relaxed.field.values
         rho = np.abs(psi) ** 2
-        psi = _ifft2_stack(half_kin * _fft2_stack(psi))
+        psi = _ifft2_stack(half_kin * _fft2_stack(psi.copy()))
         psi = psi * np.exp(-1j * dt * (trap.potential_internal(grid128)
                                        + g * np.abs(psi) ** 2))
         psi = _ifft2_stack(half_kin * _fft2_stack(psi))
@@ -210,7 +210,7 @@ class TestRelaxation:
 # forward FFT for the energy per step, 5 N + 1 FFTs in all.  It is the
 # oracle for relaxation through the shared split-step loop.
 def _reference_split_energies(values, potential, g, grid):
-    spec = _fft2_stack(values)
+    spec = _fft2_stack(values.copy())
     dens = np.abs(values) ** 2
     e_kin = float(np.sum(grid.mesh_ksq * np.abs(spec) ** 2) * grid.cell_area)
     e_pot = float(np.sum(potential * dens) * grid.cell_area)

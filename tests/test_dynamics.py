@@ -323,7 +323,7 @@ class TestConservation:
 
         def energy(state):
             g = units.coupling2d_to_internal(g2d)
-            spec = _fft2_stack(state.values)
+            spec = _fft2_stack(state.values.copy())
             kin = float(np.sum(grid64.mesh_ksq * np.abs(spec) ** 2))
             n = np.arange(-state.n_max, state.n_max + 1, dtype=float)
             pops = np.array([state.population(m) for m in state.orders])

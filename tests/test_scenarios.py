@@ -10,6 +10,7 @@ import pytest
 
 from ramanvortex import config as config_module
 from ramanvortex import dynamics, scenarios
+from ramanvortex import grid as grid_module
 from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle, phase_correlation_study
 from ramanvortex.dynamics import run_sequence
@@ -64,6 +65,26 @@ class TestCustomIdentity:
                                    rtol=0, atol=1e-12)
 
 
+def assert_same_bundle(a, b):
+    """Two bundles, each as (directory, artifact names), hold the same
+    files byte for byte; config echoes may differ in output_dir only."""
+    (dir_a, names_a), (dir_b, names_b) = a, b
+    assert names_a == names_b
+    # every sidecar is listed, so the byte comparison below covers it
+    metas = {path.relative_to(dir_a).as_posix()
+             for path in dir_a.rglob("*.meta")}
+    assert metas and metas <= set(names_a)
+    for name in names_a:
+        if name == "config_echo.json":
+            # echoes differ only in the output_dir they record
+            a = json.loads((dir_a / name).read_text())
+            b = json.loads((dir_b / name).read_text())
+            a.pop("output_dir"), b.pop("output_dir")
+            assert a == b
+            continue
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
 def _tag(n):
     return f"m{-n}" if n < 0 else (str(n) if n == 0 else f"p{n}")
 
@@ -97,21 +118,23 @@ class TestDeterminism:
                                  "meanfield_window_s": 2e-4}
             result = run_scenario(config)
             paths.append((Path(result.output_dir), result.artifacts))
-        (dir_a, names_a), (dir_b, names_b) = paths
-        assert names_a == names_b
-        # every sidecar is listed, so the byte comparison below covers it
-        metas = {path.relative_to(dir_a).as_posix()
-                 for path in dir_a.rglob("*.meta")}
-        assert metas and metas <= set(names_a)
-        for name in names_a:
-            if name == "config_echo.json":
-                # echoes differ only in the output_dir they record
-                a = json.loads((dir_a / name).read_text())
-                b = json.loads((dir_b / name).read_text())
-                a.pop("output_dir"), b.pop("output_dir")
-                assert a == b
-                continue
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+        assert_same_bundle(*paths)
+
+    def test_fft_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # The FFT worker count does not reach the bundle, at the counts
+        # checked here; other counts are not covered.
+        paths = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(grid_module, "_FFT_WORKERS", workers)
+            config = small("single_vortex", [vortex_pulse(duration_s=1.5e-5)],
+                           tmp_path, grid={"points_y": 32, "points_z": 32})
+            config["output_dir"] = str(tmp_path / f"workers_{workers}")
+            config["imaging"] = {"time_of_flight_s": 2e-3,
+                                 "meanfield_window_s": 2e-4}
+            result = run_scenario(config)
+            paths.append((Path(result.output_dir), result.artifacts))
+        for other in paths[1:]:
+            assert_same_bundle(paths[0], other)
 
     def test_seed_changes_only_noisy_images(self, tmp_path):
         pulses = [vortex_pulse(duration_s=1.5e-5)]

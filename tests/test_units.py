@@ -76,3 +76,11 @@ def test_params_validation():
         PhysicalParams(atomic_mass_kg=-1.0, wavelength_m=589e-9)
     with pytest.raises(ValueError):
         PhysicalParams(atomic_mass_kg=SODIUM_MASS_KG, wavelength_m=0.0)
+
+
+def test_planck_constants_match_scipy():
+    import scipy.constants
+
+    from ramanvortex import units
+    assert units.h == scipy.constants.h
+    assert units.hbar == scipy.constants.hbar
