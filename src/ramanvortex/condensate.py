@@ -138,10 +138,21 @@ def _half_plane(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     """Parseval weights of the half spectrum (rfft2) of a real field: 1 on
     the zero and Nyquist columns of k_y, 2 on the others, which stand for
     their mirror images too.  Returns the weights and the weights times
-    ksq on the half plane."""
-    weights = np.full(grid.n_y // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    return weights, weights * grid.mesh_ksq[:, :grid.n_y // 2 + 1]
+    ksq on the half plane, each doubled along k_y to match a half
+    spectrum viewed as interleaved (re, im) floats (_weighted_square)."""
+    ksq = grid.mesh_ksq[:, :grid.n_y // 2 + 1]
+    weights = np.full(ksq.shape, 2.0)
+    weights[:, [0, -1]] = 1.0
+    return (np.repeat(weights, 2, axis=-1),
+            np.repeat(weights * ksq, 2, axis=-1))
+
+
+def _weighted_square(spec: np.ndarray, doubled: np.ndarray) -> float:
+    """Sum of doubled * |spec|^2, doubled one of _half_plane's planes.
+    einsum without optimize sums in numpy's own loop, not in BLAS, whose
+    threads would change the bits."""
+    pairs = spec.view(np.float64)
+    return float(np.einsum("rzk,zk,rzk->", pairs, doubled, pairs))
 
 
 def _energies(spec: np.ndarray, kinetic: np.ndarray, potential: np.ndarray,
@@ -151,11 +162,11 @@ def _energies(spec: np.ndarray, kinetic: np.ndarray, potential: np.ndarray,
     have the orthonormal half spectrum spec, and the rows themselves.  The
     kinetic term is read from spec (kinetic is _half_plane's weighted
     ksq), then one inverse FFT (which consumes spec) gives the rest."""
-    e_kin = float(np.vdot(spec, kinetic * spec).real * grid.cell_area)
+    e_kin = _weighted_square(spec, kinetic) * grid.cell_area
     rows = _ifft2_stack(spec, grid.n_y)
     dens = np.sum(rows * rows, axis=0)
-    e_pot = float(np.vdot(potential, dens) * grid.cell_area)
-    quartic = float(np.vdot(dens, dens) * grid.cell_area)
+    e_pot = float(np.einsum("ij,ij->", potential, dens) * grid.cell_area)
+    quartic = float(np.einsum("ij,ij->", dens, dens) * grid.cell_area)
     return e_kin, e_pot, g * quartic, rows
 
 
@@ -209,7 +220,7 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
     energy = math.inf
     for step, (spec, pending) in enumerate(steps):
         state = spec * pending
-        norm = float(np.vdot(state, weights * state).real * grid.cell_area)
+        norm = _weighted_square(state, weights) * grid.cell_area
         # Every NaN or inf in the state reaches the norm before the energy;
         # written as not (0 < x < inf) so that NaN trips it.
         if not 0.0 < norm < math.inf:

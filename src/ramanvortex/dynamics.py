@@ -322,7 +322,8 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
                        coarse_points: int = 9) -> tuple[float, float]:
     """Peak rate maximizing one-pulse transfer into order +1.
 
-    Scans peak rates around the uniform-coupling value pi / duration on
+    Scans peak rates, coupling_shape scaled so that max |omega| is each
+    trial rate, around the uniform-coupling value pi / duration on
     orders -3..3 (coarse grid over scan_span multiples, then golden-section
     refinement until the bracketed transfer varies by less than 0.005).
     Returns (peak_rate_rad_s, achieved transfer).  Raises CalibrationError
@@ -333,10 +334,10 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
             f"pulse duration {duration_s} s is not finite and > 0")
     base = math.pi / duration_s
     initial = LadderState.from_single_order(state.field, 3)
+    peak = np.abs(coupling_shape.omega.values).max()
 
     def transfer(rate: float) -> float:
-        scale = rate / coupling_shape.peak_rate_rad_s
-        pulse = PulseSpec(scaled_coupling(coupling_shape, scale),
+        pulse = PulseSpec(scaled_coupling(coupling_shape, rate / peak),
                           delta_nu_recoils, duration_s)
         return evolve_pulse(initial, pulse, trap, g2d_j_m2).population(1)
 

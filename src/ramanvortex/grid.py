@@ -165,8 +165,9 @@ class LadderState:
     Order n carries axial momentum 2 n hbar k.  Components are stored as a
     stacked (2 n_max + 1, n_z, n_y) complex array; component(n) exposes a
     single order as a TransverseField.  axial_shift_m, when set by time of
-    flight, records each order's axial displacement for the separation
-    bookkeeping used by imaging.
+    flight, records each order's axial displacement; imaging adds orders
+    whose shifts differ as densities and orders that share one as
+    amplitudes.
     """
 
     def __init__(self, grid: Grid2D, n_max: int, values: np.ndarray | None = None,
@@ -475,6 +476,16 @@ def read_sidecar(path: str, required: tuple[str, ...] = ()) -> dict[str, str]:
     return meta
 
 
+def sidecar_number(path: str, meta: Mapping[str, str], key: str) -> float:
+    """meta[key] of `path`'s sidecar as a float; raises SimulationError
+    naming the file and the key if it is not a number."""
+    try:
+        return float(meta[key])
+    except ValueError:
+        raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
+                              f"is not a number") from None
+
+
 def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str, str]]:
     """Read a dumped field back; returns the field and its sidecar dict.
     Raises SimulationError if that lacks n_y, n_z, extent_y_m or
@@ -487,10 +498,7 @@ def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str,
                                   f"is not a power of two >= 2")
     extents = []
     for key in ("extent_y_m", "extent_z_m"):
-        try:
-            extent = float(meta[key])
-        except ValueError:
-            extent = math.nan
+        extent = sidecar_number(path, meta, key)
         # written as not (0 < x < inf) so that NaN is rejected too
         if not 0.0 < extent < math.inf:
             raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "

@@ -5,8 +5,7 @@ Expansion happens on a zero-padded copy of the grid: an optional short
 nonlinear window converts interaction energy into kinetic energy, then the
 remainder of the flight is a single exact spectral propagation.  Orders of
 the momentum ladder fly apart along the (ungridded) beam axis at
-2 hbar k / M per order; imaging only needs the bookkeeping of who has
-separated from whom.
+2 hbar k / M per order; imaging only needs each order's recorded shift.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import GridOverflowError, SimulationError
 from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
-                   write_sidecar, _axial_phase, _density, _fft2_stack,
-                   _free_flight, _ifft2_stack, _strang_spectrum)
+                   sidecar_number, write_sidecar, _axial_phase, _density,
+                   _fft2_stack, _free_flight, _ifft2_stack, _strang_spectrum)
 
 logger = logging.getLogger(__name__)
 
@@ -135,9 +134,9 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     afterwards propagation is exact and linear in one spectral
     multiplication.  Orders below _PRUNE_POPULATION skip the mean field
     but fly freely for all of t_s.  Returns a new state on the padded grid
-    with per-order axial displacements recorded for the separation
-    bookkeeping.  Logs one DEBUG record per call: the window's steps, its
-    largest phase per step and the boundary mass, each next to its limit.
+    with each order's axial displacement recorded for imaging.  Logs one
+    DEBUG record per call: the window's steps, its largest phase per step
+    and the boundary mass, each next to its limit.
 
     Raises GridOverflowError if the expanded cloud reaches the padded
     boundary, and SimulationError if the state holds NaN or inf, or if a
@@ -229,54 +228,32 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
 # Absorption imaging
 # ---------------------------------------------------------------------------
 
-def _cloud_radius_y_m(state: LadderState) -> float:
-    """Thomas-Fermi-equivalent y semi-axis sqrt(6 <y^2>) in meters."""
-    dens = state.total_density()
-    total = dens.sum()
-    if total <= 0.0:
-        return 0.0
-    y2 = float(np.sum(dens * state.grid.mesh_y**2) / total)
-    return math.sqrt(6.0 * y2) * state.grid.units.length_m
-
-
 def absorption_image(state: LadderState, select, pitch_m: float,
                      blur_sigma_m: float = 0.0, noise_rms: float = 0.0,
                      seed: int = 0, label: str = "") -> ImagePlane:
     """Column-density image of the selected momentum orders.
 
-    Orders that are still axially co-located are summed coherently
-    (|sum psi_n|^2); orders that have flown apart are summed as densities.
-    A mixed selection is refused: pick orders that are either all together
-    or all separated.  The result is resampled to the requested square
-    pixel pitch.  blur_sigma_m applies an optional Gaussian blur and
-    noise_rms adds seeded Gaussian noise; both default off.
+    Orders with different recorded axial shifts (after a flight, every
+    order has its own) add as densities; orders that share a shift, or
+    carry none (in trap), add as amplitudes (|sum psi_n|^2).  The result
+    is resampled to the requested square pixel pitch.  blur_sigma_m
+    applies an optional Gaussian blur and noise_rms adds seeded Gaussian
+    noise; both default off and must be finite and >= 0.
     """
     orders = sorted(set(int(n) for n in select))
     if not orders:
         raise SimulationError("empty order selection for imaging")
+    for name, value in (("blur_sigma_m", blur_sigma_m),
+                        ("noise_rms", noise_rms)):
+        # written as not (0 <= x < inf) so that NaN is rejected too
+        if not 0.0 <= value < math.inf:
+            raise SimulationError(f"{name} {value} is not finite and >= 0")
+    shifts = state.axial_shift_m or {}
+    by_shift = {}
     for n in orders:
-        state.index(n)
-
-    if state.axial_shift_m is None or len(orders) == 1:
-        coherent = True
-    else:
-        threshold = 2.0 * _cloud_radius_y_m(state)
-        seps = [abs(state.axial_shift_m[a] - state.axial_shift_m[b])
-                for i, a in enumerate(orders) for b in orders[i + 1:]]
-        if all(s > threshold for s in seps):
-            coherent = False
-        elif all(s <= threshold for s in seps):
-            coherent = True
-        else:
-            raise SimulationError(
-                "selected orders are neither all separated nor all "
-                "co-located; image them in consistent groups")
-
-    stack = state.values[[state.index(n) for n in orders]]
-    if coherent:
-        dens = np.abs(np.sum(stack, axis=0)) ** 2
-    else:
-        dens = np.sum(np.abs(stack) ** 2, axis=0)
+        by_shift.setdefault(shifts.get(n), []).append(state.index(n))
+    dens = sum(np.abs(np.sum(state.values[rows], axis=0)) ** 2
+               for rows in by_shift.values())
 
     grid = state.grid
     if not 0.0 < pitch_m < math.inf:
@@ -422,7 +399,7 @@ def write_pgm(image: ImagePlane, path: str) -> None:
 def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
     """Read back a PGM written by write_pgm, dequantized via its sidecar;
     raises SimulationError on a malformed header or if the sidecar lacks
-    pitch_m, min_value or max_value."""
+    pitch_m, min_value or max_value or holds one that is not a number."""
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"P5":
@@ -438,11 +415,10 @@ def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
         raw = np.frombuffer(f.read(rows * cols * 2), dtype=">u2")
     if raw.size != rows * cols:
         raise SimulationError(f"{path}: truncated pixel data")
-    meta = read_sidecar(path, ("pitch_m", "min_value", "max_value"))
-    lo = float(meta["min_value"])
-    hi = float(meta["max_value"])
+    scale_keys = ("pitch_m", "min_value", "max_value")
+    meta = read_sidecar(path, scale_keys)
+    pitch, lo, hi = (sidecar_number(path, meta, key) for key in scale_keys)
     pixels = lo + raw.reshape(rows, cols).astype(float) / 65535.0 * (hi - lo)
     pixels = np.maximum(pixels, 0.0)
-    image = ImagePlane(pixels, float(meta["pitch_m"]),
-                       label=meta.get("label", ""))
+    image = ImagePlane(pixels, pitch, label=meta.get("label", ""))
     return image, meta

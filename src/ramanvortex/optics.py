@@ -26,17 +26,17 @@ MAX_WINDING = 2
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """One transverse beam: annular vortex mode or plain Gaussian.
+    """One transverse beam on the trap axis: vortex mode or plain Gaussian.
 
     kind is "lg" (single-ring vortex mode, radial index 0) or "gaussian".
     winding is the azimuthal phase index l (0 for Gaussian); |l| <= 2.
-    Beam power does not appear: the coupling's peak rate is set per pulse.
+    phase is a constant optical phase on the whole beam.  Beam power does
+    not appear: the coupling's peak rate is set per pulse.
     """
 
     kind: str
     waist_m: float
     winding: int = 0
-    center_m: tuple[float, float] = (0.0, 0.0)
     phase: float = 0.0
 
     def __post_init__(self):
@@ -44,6 +44,8 @@ class BeamSpec:
             raise SimulationError(f"unknown beam kind {self.kind!r}")
         if not 0.0 < self.waist_m < math.inf:
             raise SimulationError("beam waist must be finite and positive")
+        if not math.isfinite(self.phase):
+            raise SimulationError(f"beam phase {self.phase} is not finite")
         if self.kind == "gaussian" and self.winding != 0:
             raise SimulationError("a Gaussian beam has no phase winding")
         if abs(self.winding) > MAX_WINDING:
@@ -56,9 +58,9 @@ def mode_field(beam: BeamSpec, grid: Grid2D) -> TransverseField:
 
     Gaussian: exp(-rho^2/w^2).  Vortex mode of winding l: the radial-node-
     free member (rho/w)^|l| exp(-rho^2/w^2) e^{i l phi}, whose ring of peak
-    intensity sits at rho = w sqrt(|l|/2).  The beam's own phase offset and
-    center displacement are applied; the result is scaled so the largest
-    magnitude on the grid is 1.
+    intensity sits at rho = w sqrt(|l|/2), centred on the grid origin (the
+    trap axis).  The beam's own phase offset is applied; the result is
+    scaled so the largest magnitude on the grid is 1.
 
     A Gaussian wider than the grid is fine (uniform illumination limit),
     but a vortex ring must fit inside the box or the mode has no peak to
@@ -71,16 +73,13 @@ def mode_field(beam: BeamSpec, grid: Grid2D) -> TransverseField:
                 f"vortex ring radius {ring_m:.3g} m does not fit a grid of "
                 f"extent {grid.extent_y_m} x {grid.extent_z_m} m")
     w = beam.waist_m / grid.units.length_m
-    y0 = beam.center_m[0] / grid.units.length_m
-    z0 = beam.center_m[1] / grid.units.length_m
-    dy = grid.mesh_y - y0
-    dz = grid.mesh_z - z0
-    rho2 = dy * dy + dz * dz
+    y, z = grid.mesh_y, grid.mesh_z
+    rho2 = y * y + z * z
     envelope = np.exp(-rho2 / w**2)
     l = beam.winding
     if l != 0:
         envelope = envelope * (np.sqrt(rho2) / w) ** abs(l)
-        phi = np.arctan2(dz, dy)
+        phi = np.arctan2(z, y)
         values = envelope * np.exp(1j * (l * phi + beam.phase))
     else:
         values = envelope * np.exp(1j * beam.phase)
@@ -92,22 +91,16 @@ def mode_field(beam: BeamSpec, grid: Grid2D) -> TransverseField:
 class CouplingMap:
     """Position-dependent two-photon Rabi rate for one beam pair.
 
-    omega holds the complex rate in rad/s; its phase winds oam_step times
-    about the beam axis, which is the winding handed to an atom on each
-    upward ladder step.  max |omega| equals peak_rate_rad_s to rounding.
-    Every value of omega must be finite.
+    omega holds the complex rate in rad/s at each grid point.  Everything
+    a pulse needs is read from it: its phase is the optical phase written
+    on each upward ladder step, so its winding about the beam axis is the
+    angular momentum (in units of hbar) handed to an atom per step, and
+    max |omega| is the peak rate.  Every value of omega must be finite.
     """
 
     omega: TransverseField
-    oam_step: int
-    peak_rate_rad_s: float
 
     def __post_init__(self):
-        if not 0.0 < self.peak_rate_rad_s < math.inf:
-            raise SimulationError("peak Rabi rate must be finite and positive")
-        if abs(self.oam_step) > MAX_WINDING:
-            raise SimulationError(
-                f"|oam_step| <= {MAX_WINDING} supported, got {self.oam_step}")
         if not np.isfinite(self.omega.values).all():
             raise SimulationError("coupling map holds NaN or inf")
 
@@ -117,9 +110,14 @@ def coupling_map(beam_a: BeamSpec, beam_b: BeamSpec, peak_rate_rad_s: float,
     """Two-photon Rabi map Omega = Omega_0 * u_a * conj(u_b) * e^{i phase}.
 
     The product of unit-peak modes is renormalized so its largest modulus is
-    exactly peak_rate_rad_s.  The winding handed over per ladder step is
-    l_a - l_b.
+    exactly peak_rate_rad_s, which must be finite and > 0.  The winding
+    handed over per ladder step is l_a - l_b.
     """
+    if not math.isfinite(rel_phase):
+        raise SimulationError(f"relative phase {rel_phase} is not finite")
+    # written as not (0 < x < inf) so that NaN is rejected too
+    if not 0.0 < peak_rate_rad_s < math.inf:
+        raise SimulationError("peak Rabi rate must be finite and positive")
     step = beam_a.winding - beam_b.winding
     if abs(step) > MAX_WINDING:
         raise SimulationError(
@@ -132,7 +130,7 @@ def coupling_map(beam_a: BeamSpec, beam_b: BeamSpec, peak_rate_rad_s: float,
     if peak <= 0.0:
         raise SimulationError("beam product vanishes on the whole grid")
     omega = product * (peak_rate_rad_s / peak * np.exp(1j * rel_phase))
-    return CouplingMap(TransverseField(grid, omega), step, peak_rate_rad_s)
+    return CouplingMap(TransverseField(grid, omega))
 
 
 def scaled_coupling(coupling: CouplingMap, factor: complex) -> CouplingMap:
@@ -142,17 +140,17 @@ def scaled_coupling(coupling: CouplingMap, factor: complex) -> CouplingMap:
     which is what a phase of arg(factor) on the absorbed beam does.
     """
     return CouplingMap(
-        TransverseField(coupling.omega.grid, coupling.omega.values * factor),
-        coupling.oam_step, coupling.peak_rate_rad_s * abs(factor))
+        TransverseField(coupling.omega.grid, coupling.omega.values * factor))
 
 
-def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D,
-                     rel_phase: float = 0.0) -> CouplingMap:
-    """Constant-over-the-grid coupling: the plane-wave textbook limit.
-    A flat field has no phase winding, so its oam_step is 0."""
-    values = np.full(grid.shape, peak_rate_rad_s * np.exp(1j * rel_phase),
-                     dtype=np.complex128)
-    return CouplingMap(TransverseField(grid, values), 0, peak_rate_rad_s)
+def uniform_coupling(peak_rate_rad_s: float, grid: Grid2D) -> CouplingMap:
+    """Constant-over-the-grid, real coupling: the plane-wave textbook
+    limit, with no phase winding.  peak_rate_rad_s must be finite and > 0;
+    scaled_coupling turns its phase."""
+    if not 0.0 < peak_rate_rad_s < math.inf:
+        raise SimulationError("peak Rabi rate must be finite and positive")
+    return CouplingMap(TransverseField(
+        grid, np.full(grid.shape, peak_rate_rad_s, dtype=np.complex128)))
 
 
 def _ring_lobe_angle(intensity: np.ndarray, grid: Grid2D,

@@ -4,11 +4,11 @@ Each scenario prepares the condensate, applies its pulse sequence, and
 writes a deterministic bundle into the output directory: 16-bit PGM images
 with text sidecars, delimited tables (per-pulse populations, study and
 sweep tables), binary field dumps of the populated orders, the normalized
-config echo, and a key/value machine summary.  With a fixed config and
-BLAS thread count the bundle is bit-identical across runs, checked at 1, 2
-and 4 FFT workers.  Every
-scenario takes its pulses from ``ExperimentConfig.pulses``; the sweep and
-the phase study vary that sequence rather than rebuilding pulses.
+config echo, and a key/value machine summary.  With a fixed config the
+bundle is bit-identical across runs, checked at 1, 2 and 4 FFT workers
+and at 1 and 2 BLAS threads.  Every scenario takes its pulses from
+``ExperimentConfig.pulses``; the sweep and the phase study vary that
+sequence rather than rebuilding pulses.
 
 Scenario shapes:
   single_vortex    pulse sequence, vortex diagnostics on order +1, TOF.
@@ -264,7 +264,8 @@ def _match_pattern(bundle: _Bundle, summary: dict, image: ImagePlane,
     terms -= terms.mean(axis=1, keepdims=True)
     proj = terms @ measured
     gram = terms @ terms.T
-    norm = math.sqrt(float(measured @ measured))
+    # einsum, unlike a BLAS dot, sums the same way at any thread count
+    norm = math.sqrt(float(np.einsum("i,i->", measured, measured)))
 
     def scores(thetas: np.ndarray) -> np.ndarray:
         v = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])

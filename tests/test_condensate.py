@@ -8,6 +8,10 @@ SI oracles, independent of the internal unit system:
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,37 @@ class TestRelaxationMatchesReference:
             field.values, trap.potential_internal(grid64), g, grid64)
         assert gpe_energy(field, trap, g2d) == pytest.approx(
             units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)
+
+
+# Relaxes a 128^2 Thomas-Fermi seed and prints a digest of the result;
+# at 32^2 the reductions are too short for OpenBLAS to split them.
+_RELAX_AND_DIGEST = """
+import hashlib, math
+from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
+                                    relax_ground_state, thomas_fermi_profile)
+from ramanvortex.grid import Grid2D
+from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
+                               PhysicalParams, make_recoil_units)
+units = make_recoil_units(PhysicalParams(SODIUM_MASS_KG, SODIUM_WAVELENGTH_M))
+grid = Grid2D(128, 128, 160e-6, 160e-6, units)
+trap = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
+g2d = g2d_from_tf_radius(trap, 30e-6, units)
+out = relax_ground_state(thomas_fermi_profile(trap, g2d, grid), trap, g2d)
+print(hashlib.sha256(out.field.values.tobytes()).hexdigest(),
+      repr(out.chemical_potential_j))
+"""
+
+
+def test_relaxation_is_the_same_at_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _RELAX_AND_DIGEST],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]

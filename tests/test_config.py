@@ -13,6 +13,8 @@ from ramanvortex.config import (SCHEMA_VERSION, SCENARIOS, ExperimentConfig,
                                 dumps, load_config, loads, normalize)
 from ramanvortex.errors import ConfigError
 
+from test_optics import loop_winding
+
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
 
@@ -243,9 +245,11 @@ class TestMaterialization:
     def test_sequence_carries_winding_step_and_hold(self):
         cfg = self.make_config()
         cfg.data["pulses"][0]["delay_after_s"] = 2e-4
-        pulses = cfg.pulses(cfg.make_grid())
+        grid = cfg.make_grid()
+        pulses = cfg.pulses(grid)
         assert len(pulses) == 1
-        assert pulses[0].coupling.oam_step == 1
+        assert loop_winding(pulses[0].coupling.omega.values, grid,
+                            60e-6) == pytest.approx(1)
         assert pulses[0].duration_s == pytest.approx(1.3e-4)
         # the last pulse's delay is the hold before imaging
         assert pulses[0].delay_after_s == pytest.approx(2e-4)

@@ -28,6 +28,14 @@ def vortex_field(grid, l, waist_m=W0):
     return mode_field(BeamSpec("lg", waist_m, winding=l), grid)
 
 
+def displaced_vortex(grid, shift_y_px, shift_z_px):
+    """A winding-1 mode moved by whole pixels; returns it and its centre."""
+    values = np.roll(vortex_field(grid, 1).values, (shift_z_px, shift_y_px),
+                     axis=(0, 1))
+    center_m = (shift_y_px * grid.pitch_y_m, shift_z_px * grid.pitch_z_m)
+    return TransverseField(grid, values), center_m
+
+
 def mixed_field(grid, amp_flat, amp_vortex, l=1):
     flat = mode_field(BeamSpec("gaussian", W0), grid).values
     vortex = vortex_field(grid, l).values
@@ -81,10 +89,10 @@ class TestWindingNumber:
         assert report.confidence < 0.05
 
     def test_report_flags_offset_core(self, grid128):
-        beam = BeamSpec("lg", W0, winding=1, center_m=(6e-6, -4e-6))
-        report = vortex_report(mode_field(beam, grid128), 20e-6)
-        assert report.core_location[0] == pytest.approx(6e-6, abs=1.5e-6)
-        assert report.core_location[1] == pytest.approx(-4e-6, abs=1.5e-6)
+        fld, (y0, z0) = displaced_vortex(grid128, 5, -3)
+        report = vortex_report(fld, 20e-6)
+        assert report.core_location[0] == pytest.approx(y0, abs=1.5e-6)
+        assert report.core_location[1] == pytest.approx(z0, abs=1.5e-6)
 
 
 class TestOamExpectation:
@@ -104,9 +112,8 @@ class TestOamExpectation:
         assert oam_expectation(fld) == pytest.approx(0.2, abs=1e-3)
 
     def test_center_follows_displaced_vortex(self, grid128):
-        beam = BeamSpec("lg", W0, winding=1, center_m=(8e-6, 3e-6))
-        fld = mode_field(beam, grid128)
-        assert oam_expectation(fld, center_m=(8e-6, 3e-6)) == pytest.approx(
+        fld, center_m = displaced_vortex(grid128, 6, 2)
+        assert oam_expectation(fld, center_m=center_m) == pytest.approx(
             1.0, abs=1e-3)
 
     def test_imag_residue_stays_at_rounding_even_for_noise(self, grid64, rng):

@@ -21,9 +21,12 @@ from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
                                   evolve_free, evolve_pulse, run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
                                 StepSizeError, TruncationError)
-from ramanvortex.grid import Grid2D, LadderState, bilinear_sample
+from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
+                              bilinear_sample)
 from ramanvortex.imaging import time_of_flight
-from ramanvortex.optics import BeamSpec, coupling_map, mode_field, uniform_coupling
+from ramanvortex.optics import (BeamSpec, CouplingMap, coupling_map,
+                                mode_field, scaled_coupling,
+                                uniform_coupling)
 
 NU_Y_HZ = 40.0 / math.sqrt(2.0)
 NU_Z_HZ = 40.0
@@ -269,9 +272,13 @@ class TestLadderPropagatorAgainstReference:
         if case == "centred":
             coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
         elif case == "off_centre":
-            lg = BeamSpec("lg", 85e-6, winding=1, center_m=(7.3e-6, -4.1e-6))
-            coupling = coupling_map(lg, BeamSpec("gaussian", 175e-6), 2.0e5,
-                                    0.7, grid)
+            # a winding-1 field about (7.3, -4.1) um, off every grid point
+            y = grid.mesh_y - 7.3e-6 / grid.units.length_m
+            z = grid.mesh_z + 4.1e-6 / grid.units.length_m
+            w = 85e-6 / grid.units.length_m
+            coupling = CouplingMap(TransverseField(
+                grid, 2.0e5 * (y + 1j * z) / w * np.exp(-(y * y + z * z)
+                                                         / w**2 + 0.7j)))
         else:
             coupling = uniform_coupling(2.0e5, grid)
         s = np.abs(coupling.omega.values)
@@ -373,7 +380,8 @@ class TestVortexImprint:
         theta = 1.1
         base = PulseSpec(uniform_coupling(5.0e4, grid64), 4.0, 20e-6,
                          trap_on=False)
-        shifted = PulseSpec(uniform_coupling(5.0e4, grid64, rel_phase=theta),
+        shifted = PulseSpec(scaled_coupling(uniform_coupling(5.0e4, grid64),
+                                            np.exp(1j * theta)),
                             4.0, 20e-6, trap_on=False)
         a = evolve_pulse(state, base, trap, 0.0)
         b = evolve_pulse(state, shifted, trap, 0.0)

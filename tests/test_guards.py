@@ -11,9 +11,14 @@ from ramanvortex.errors import SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                               bilinear_sample)
 from ramanvortex.imaging import ImagePlane, absorption_image, time_of_flight
-from ramanvortex.optics import BeamSpec, CouplingMap, coupling_map
+from ramanvortex.optics import (BeamSpec, CouplingMap, coupling_map,
+                                uniform_coupling)
 from ramanvortex.units import (SODIUM_MASS_KG, SODIUM_WAVELENGTH_M,
                                PhysicalParams)
+
+# a guard must trip before any arithmetic on the bad value, so NaN and inf
+# never reach numpy and raise its RuntimeWarnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # each builds one object from a single bad value x
 CONSTRUCTORS = {
@@ -24,12 +29,14 @@ CONSTRUCTORS = {
     "wavelength": lambda x, units: PhysicalParams(SODIUM_MASS_KG, x),
     "grid_extent_y": lambda x, units: Grid2D(32, 32, x, 160e-6, units),
     "grid_extent_z": lambda x, units: Grid2D(32, 32, 160e-6, x, units),
-    "coupling_peak": lambda x, units: CouplingMap(
-        TransverseField(Grid2D(32, 32, 160e-6, 160e-6, units),
-                        np.ones((32, 32), dtype=complex)), 0, x),
+    "coupling_peak": lambda x, units: coupling_map(
+        BeamSpec("lg", 50e-6, winding=1), BeamSpec("gaussian", 80e-6), x,
+        0.0, Grid2D(32, 32, 160e-6, 160e-6, units)),
+    "uniform_peak": lambda x, units: uniform_coupling(
+        x, Grid2D(32, 32, 160e-6, 160e-6, units)),
     "coupling_values": lambda x, units: CouplingMap(
         TransverseField(Grid2D(32, 32, 160e-6, 160e-6, units),
-                        np.full((32, 32), x, dtype=complex)), 0, 1.0),
+                        np.full((32, 32), x, dtype=complex))),
     "image_pitch": lambda x, units: ImagePlane(np.ones((4, 4)), x),
     "tf_radius": lambda x, units: g2d_from_tf_radius(TrapSpec(40.0, 40.0),
                                                      x, units),
@@ -57,6 +64,12 @@ CALLS = {
     "vortex_loop_radius": lambda x, units: vortex_report(_field(units), x),
     "image_pitch_m": lambda x, units: absorption_image(
         LadderState.from_single_order(_field(units), 1), (0,), x),
+    "image_blur_sigma_m": lambda x, units: absorption_image(
+        LadderState.from_single_order(_field(units), 1), (0,), 5e-6,
+        blur_sigma_m=x),
+    "image_noise_rms": lambda x, units: absorption_image(
+        LadderState.from_single_order(_field(units), 1), (0,), 5e-6,
+        noise_rms=x),
     "tof_pad_factor": lambda x, units: time_of_flight(
         LadderState.from_single_order(_field(units), 1), 1e-3, 0.0, 0.0,
         pad_factor=x),
@@ -75,6 +88,12 @@ CALLS = {
 def test_non_finite_argument_raises_simulation_error(name, bad, units):
     with pytest.raises(SimulationError):
         CALLS[name](bad, units)
+
+
+@pytest.mark.parametrize("name", ["image_blur_sigma_m", "image_noise_rms"])
+def test_negative_image_smearing_raises_simulation_error(name, units):
+    with pytest.raises(SimulationError, match="not finite and >= 0"):
+        CALLS[name](-1e-6, units)
 
 
 # an infinite factor once doubled the padded size forever

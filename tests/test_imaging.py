@@ -281,7 +281,6 @@ class TestAbsorptionImage:
         assert col.max() < 1e-25 * image.pixels.max()
 
     def test_separated_orders_add_densities(self, grid128):
-        # sqrt(6 <y^2>) is 24.5 um here; 120 um shifts are well separated.
         shifts = {-1: -60e-6, 0: 0.0, 1: 60e-6}
         image = absorption_image(self.superposed_state(grid128, shifts),
                                  {-1, 1}, grid128.pitch_y_m)
@@ -291,11 +290,24 @@ class TestAbsorptionImage:
             1e-20 * image.pixels.max())
         assert ring.max() == pytest.approx(mirror.max(), rel=1e-9)
 
-    def test_mixed_separation_rejected(self, grid128):
-        shifts = {-1: 0.0, 0: 10e-6, 1: 120e-6}
-        with pytest.raises(SimulationError, match="co-located"):
-            absorption_image(self.superposed_state(grid128, shifts),
-                             {-1, 0, 1}, grid128.pitch_y_m)
+    def test_small_distinct_shifts_add_densities(self, grid128):
+        # the shift is all the 2D model knows of the axial motion, so any
+        # difference counts, however short the flight
+        shifts = {-1: -1e-9, 0: 0.0, 1: 1e-9}
+        image = absorption_image(self.superposed_state(grid128, shifts),
+                                 {-1, 1}, grid128.pitch_y_m)
+        far = absorption_image(
+            self.superposed_state(grid128, {-1: -60e-6, 0: 0.0, 1: 60e-6}),
+            {-1, 1}, grid128.pitch_y_m)
+        assert np.array_equal(image.pixels, far.pixels)
+
+    def test_orders_sharing_a_shift_add_amplitudes(self, grid128):
+        shifts = {-1: 20e-6, 0: -5e-6, 1: 20e-6}
+        image = absorption_image(self.superposed_state(grid128, shifts),
+                                 {-1, 0, 1}, grid128.pitch_y_m)
+        in_trap = absorption_image(self.superposed_state(grid128), {-1, 1},
+                                   grid128.pitch_y_m)
+        assert np.array_equal(image.pixels, in_trap.pixels)
 
     def test_empty_selection_rejected(self, grid128):
         with pytest.raises(SimulationError, match="empty"):
@@ -460,6 +472,19 @@ class TestPgmRoundTrip:
         with open(path + ".meta", "w") as fh:
             fh.writelines(lines)
         with pytest.raises(SimulationError, match=key):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("key", ["pitch_m", "min_value", "max_value"])
+    @pytest.mark.parametrize("value", ["x0.0084", "", "1e-6 m"])
+    def test_non_numeric_scale_value_rejected(self, tmp_path, key, value):
+        path = str(tmp_path / "small.pgm")
+        write_pgm(ImagePlane(np.arange(12.0).reshape(3, 4), 2.5e-6), path)
+        with open(path + ".meta") as fh:
+            lines = [f"{key}={value}\n" if l.startswith(key + "=") else l
+                     for l in fh]
+        with open(path + ".meta", "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(SimulationError, match=f"small.pgm.*{key}"):
             read_pgm(path)
 
     def test_non_pgm_rejected(self, tmp_path):

@@ -62,15 +62,6 @@ class TestModeField:
         assert np.abs(u).max() == pytest.approx(1.0, rel=1e-14)
         assert abs(u[grid128.n_z // 2, grid128.n_y // 2]) == pytest.approx(1.0)
 
-    def test_center_offset_moves_the_node(self, grid128):
-        beam = BeamSpec("lg", W0, winding=1, center_m=(10e-6, -5e-6))
-        u = mode_field(beam, grid128).values
-        at_node = bilinear_sample(
-            u, grid128.y, grid128.z,
-            np.array(10e-6 / grid128.units.length_m),
-            np.array(-5e-6 / grid128.units.length_m))
-        assert abs(at_node) < 1e-3
-
     def test_beam_phase_is_a_global_factor(self, grid128):
         u0 = mode_field(lg_beam(phase=0.0), grid128).values
         u1 = mode_field(lg_beam(phase=0.7), grid128).values
@@ -102,12 +93,12 @@ class TestCouplingMap:
         cmap = coupling_map(lg_beam(), g_beam(), 2.0e4, 0.0, grid128)
         assert np.abs(cmap.omega.values).max() == pytest.approx(
             2.0e4, rel=1e-12)
-        assert cmap.oam_step == 1
+        assert loop_winding(cmap.omega.values, grid128, W0) == pytest.approx(1)
 
     def test_gaussian_pair_is_real_positive(self, grid128):
         cmap = coupling_map(g_beam(), g_beam(175e-6 / 3), 1.0e4, 0.0, grid128)
         vals = cmap.omega.values
-        assert cmap.oam_step == 0
+        assert loop_winding(vals, grid128, W0) == pytest.approx(0)
         assert np.all(vals.real > 0.0)
         assert np.abs(vals.imag).max() < 1e-12 * np.abs(vals).max()
 
@@ -119,10 +110,13 @@ class TestCouplingMap:
         assert np.allclose(np.abs(turned.omega.values),
                            np.abs(base.omega.values), atol=1e-12)
 
-    def test_coupling_phase_winds_with_oam_step(self, grid128):
-        cmap = coupling_map(lg_beam(winding=2), g_beam(), 1.0e4, 0.0, grid128)
-        assert cmap.oam_step == 2
-        assert loop_winding(cmap.omega.values, grid128, W0) == pytest.approx(2)
+    @pytest.mark.parametrize("l_a, l_b", [(2, 0), (1, -1), (-1, 1)])
+    def test_coupling_phase_winds_by_the_winding_difference(self, grid128,
+                                                            l_a, l_b):
+        beam_b = g_beam() if l_b == 0 else lg_beam(winding=l_b)
+        cmap = coupling_map(lg_beam(winding=l_a), beam_b, 1.0e4, 0.0, grid128)
+        assert loop_winding(cmap.omega.values, grid128, W0) == pytest.approx(
+            l_a - l_b)
 
     def test_excessive_winding_transfer_rejected(self, grid128):
         with pytest.raises(SimulationError):
@@ -132,7 +126,14 @@ class TestCouplingMap:
     def test_uniform_coupling_is_flat(self, grid64):
         cmap = uniform_coupling(5.0e3, grid64)
         assert np.all(cmap.omega.values == 5.0e3)
-        assert cmap.oam_step == 0
+        assert loop_winding(cmap.omega.values, grid64, W0) == 0.0
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0e4])
+    def test_rate_not_above_zero_rejected(self, grid64, rate):
+        with pytest.raises(SimulationError, match="peak Rabi rate"):
+            coupling_map(lg_beam(), g_beam(), rate, 0.0, grid64)
+        with pytest.raises(SimulationError, match="peak Rabi rate"):
+            uniform_coupling(rate, grid64)
 
 
 class TestPhaseReadout:

@@ -131,8 +131,7 @@ def test_detuning_sign_flip_mirrors_the_ladder(grids, g2d, n, rate, delta,
     state = packet(grid, w)
     coupling = vortex_coupling(grid, rate, phi)
     conjugate = CouplingMap(
-        TransverseField(grid, np.conj(coupling.omega.values)),
-        -coupling.oam_step, coupling.peak_rate_rad_s)
+        TransverseField(grid, np.conj(coupling.omega.values)))
     mirrored = LadderState(grid, N_MAX, state.values[::-1])
     out = evolve_pulse(state, PulseSpec(coupling, delta, DURATION_S),
                        TRAP, g2d)
