@@ -93,19 +93,22 @@ def thomas_fermi_profile(trap: TrapSpec, g2d_j_m2: float,
 
     The chemical potential and radii are the continuum values; the grid
     field is renormalized to unit norm, so its edge carries the usual
-    pixel-level truncation of the parabola.
+    pixel-level truncation of the parabola.  Raises SimulationError if
+    g2d_j_m2 is not finite and > 0.
     """
     units = grid.units
     g = units.coupling2d_to_internal(g2d_j_m2)
-    if g <= 0.0:
-        raise SimulationError("Thomas-Fermi profile needs g2d > 0")
+    # written as not (0 < g < inf) so that NaN is rejected too
+    if not 0.0 < g < math.inf:
+        raise SimulationError(
+            f"Thomas-Fermi profile needs a finite g2d > 0, got {g2d_j_m2}")
     wy, wz = trap.omegas_internal(units)
     if wy <= 0.0 or wz <= 0.0:
         raise SimulationError("Thomas-Fermi profile needs a confining trap")
     mu = _tf_mu_internal(g, wy, wz)
     density = np.maximum(0.0, mu - trap.potential_internal(grid)) / g
     norm = np.sum(density) * grid.cell_area
-    if norm <= 0.0:
+    if not norm > 0.0:
         raise SimulationError("Thomas-Fermi cloud does not resolve on grid")
     psi = np.sqrt(density / norm).astype(np.complex128)
     return GroundState(TransverseField(grid, psi),

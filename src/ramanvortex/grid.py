@@ -478,12 +478,16 @@ def read_sidecar(path: str, required: tuple[str, ...] = ()) -> dict[str, str]:
 
 def sidecar_number(path: str, meta: Mapping[str, str], key: str) -> float:
     """meta[key] of `path`'s sidecar as a float; raises SimulationError
-    naming the file and the key if it is not a number."""
+    naming the file and the key if it is not a finite number."""
     try:
-        return float(meta[key])
+        value = float(meta[key])
     except ValueError:
         raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
                               f"is not a number") from None
+    if not math.isfinite(value):
+        raise SimulationError(f"{path}: sidecar {key}={meta[key]!r} "
+                              f"is not finite")
+    return value
 
 
 def load_field(path: str, units: UnitSystem) -> tuple[TransverseField, dict[str, str]]:

@@ -38,13 +38,23 @@ IMAGE_SCHEMA_VERSION = 1
 # 64^2 cloud.
 WINDOW_PHASE_PER_STEP = 0.03
 
-# Population below which a ladder component skips the mean field of the
-# window; it still flies freely for the whole time.  This is not exact:
-# the order neither feels the mean field nor adds to it.  The first moves
-# only its own amplitude, which lies below every image and dump floor; the
-# second leaves out at most this fraction of the norm from the others'
-# mean field.
-_PRUNE_POPULATION = 1e-12
+# Bound on Phi p for the orders that skip the mean field of the
+# time-of-flight window, where Phi = t_window g rho_max is the window's
+# whole mean-field phase and p the pruned orders' summed share of the
+# norm.  A pruned order still flies freely for the whole time, but it
+# neither feels the mean field (its own phase error is at most Phi on
+# its share p) nor adds to it (the others' phase error is at most Phi p).
+# Budget: as for WINDOW_PHASE_PER_STEP, every order's density after the
+# whole flight within 1e-6 of the image peak of an unpruned window.
+# Measured against an unpruned window, the largest density error over
+# Phi p was 0.32-0.50: 1.26e-8 of the image peak on the benchmark's
+# vortex_256 flight at seeds 1-3 (256^2, 4 of 7 orders in the window,
+# Phi p = 2.5e-8; pruning order -1 too would give Phi p = 8.9e-6 and an
+# error of 5.0e-6), 1.43e-7 on double_charge_128's second flight at
+# seeds 1-3 (128^2, 6 of 9 orders, Phi p = 4.4e-7, the largest of all)
+# and at most 1.1e-7 on the three presets that fly at 64^2
+# (counter_rotating: 5 of 7 orders, Phi p = 2.9e-7).
+_PRUNE_BUDGET = 1e-6
 
 # Fraction of the norm allowed within two samples of the padded boundary.
 _BOUNDARY_MASS_LIMIT = 1e-6
@@ -101,15 +111,14 @@ def _require_square_pixels(grid: Grid2D) -> float:
 # Time of flight
 # ---------------------------------------------------------------------------
 
-def _embed(state: LadderState, padded: Grid2D, indices) -> np.ndarray:
-    """The stack rows state.values[indices], zero-embedded at the centre
-    of the padded grid, in a new stack."""
+def _embed(state: LadderState, padded: Grid2D) -> np.ndarray:
+    """The state's stack, zero-embedded at the centre of the padded grid,
+    in a new stack."""
     grid = state.grid
-    out = np.zeros((len(indices),) + padded.shape, dtype=np.complex128)
+    out = np.zeros((len(state.values),) + padded.shape, dtype=np.complex128)
     z0 = (padded.n_z - grid.n_z) // 2
     y0 = (padded.n_y - grid.n_y) // 2
-    for row, k in zip(out, indices):
-        row[z0:z0 + grid.n_z, y0:y0 + grid.n_y] = state.values[k]
+    out[:, z0:z0 + grid.n_z, y0:y0 + grid.n_y] = state.values
     return out
 
 
@@ -132,11 +141,15 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     sized by the mean-field phase alone: g rho_max dt at most
     WINDOW_PHASE_PER_STEP, since the kinetic half-steps are exact);
     afterwards propagation is exact and linear in one spectral
-    multiplication.  Orders below _PRUNE_POPULATION skip the mean field
-    but fly freely for all of t_s.  Returns a new state on the padded grid
-    with each order's axial displacement recorded for imaging.  Logs one
-    DEBUG record per call: the window's steps, its largest phase per step
-    and the boundary mass, each next to its limit.
+    multiplication.  Faint orders at the ends of the ladder skip the
+    window's mean field but fly freely for all of t_s: the fainter edge
+    order is pruned while Phi p stays within _PRUNE_BUDGET (Phi the
+    window's whole mean-field phase, p the pruned share of the norm), so
+    the window's orders stay a contiguous range of rows.  Returns a new
+    state on the padded grid with each order's axial displacement
+    recorded for imaging.  Logs one DEBUG record per call: the window's
+    steps, its largest phase per step, the pruned orders with Phi p and
+    the boundary mass, each next to its limit.
 
     Raises GridOverflowError if the expanded cloud reaches the padded
     boundary, and SimulationError if the state holds NaN or inf, or if a
@@ -162,39 +175,48 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     t = units.time_to_internal(t_s)
     t_window = units.time_to_internal(window_s) if g != 0.0 else 0.0
 
-    # free-flight time per order: active orders fly what the window leaves
-    flight = np.full(dim, t)
-    active, n_steps, dt, phase_per_step = (), 0, 0.0, 0.0
+    # the rows lo .. hi - 1 feel the window's mean field
+    lo = hi = 0
+    n_steps, dt, phase_per_step, phi_p, pruned = 0, 0.0, 0.0, 0.0, []
     if t_window > 0.0:
         # populations and rho_max are read off the unpadded state
-        pops = np.array([state.population(n) for n in state.orders])
-        # not (x <= floor) keeps a NaN order, so the rate check below sees it
-        active = np.flatnonzero(~(pops <= _PRUNE_POPULATION))
-        pruned = np.flatnonzero(pops <= _PRUNE_POPULATION)
-        rate = float(abs(g) * _density(state.values, active).max())
+        rate = float(abs(g) * _density(state.values).max())
         if not math.isfinite(rate):
             raise SimulationError(
                 f"mean-field phase rate is {rate}: the state holds NaN or inf")
-        n_steps = max(1, math.ceil(t_window * rate / WINDOW_PHASE_PER_STEP))
+        phi = t_window * rate
+        pops = [state.population(n) for n in state.orders]
+        total = sum(pops)
+        hi, pruned_pop = dim, 0.0
+        while lo < hi:
+            # the fainter edge order, the lower one on a tie
+            k = lo if pops[lo] <= pops[hi - 1] else hi - 1
+            if not phi * (pruned_pop + pops[k]) <= _PRUNE_BUDGET * total:
+                break
+            pruned_pop += pops[k]
+            if k == lo:
+                lo += 1
+            else:
+                hi -= 1
+        if pruned_pop:
+            phi_p = phi * pruned_pop / total
+        pruned = [*state.orders[:lo], *state.orders[hi:]]
+        n_steps = max(1, math.ceil(phi / WINDOW_PHASE_PER_STEP))
         dt = t_window / n_steps
         phase_per_step = rate * dt
-        # only the active orders are embedded, as the loop's temporary
-        spec = _strang_spectrum(_embed(state, padded, active),
-                                padded.mesh_ksq, dt, n_steps, g)
-        flight[active] -= t_window
-        # the window ends in momentum space; the pruned orders join it there
-        if pruned.size:
-            values = np.empty((dim,) + padded.shape, dtype=np.complex128)
-            values[active] = spec
-            del spec
-            values[pruned] = _fft2_stack(_embed(state, padded, pruned))
-        else:
-            values = spec
-    else:
-        values = _embed(state, padded, range(dim))
-        if t > 0.0:
-            values = _fft2_stack(values)
+
+    # free-flight time per order: the window's orders fly what it leaves
+    flight = np.full(dim, t)
+    values = _embed(state, padded)
+    if hi > lo:
+        # runs in place on the window's rows and ends in momentum space
+        _strang_spectrum(values[lo:hi], padded.mesh_ksq, dt, n_steps, g)
+        flight[lo:hi] -= t_window
     if t > 0.0:
+        # the other rows join the window's spectrum, each block in place
+        for rows in (values[:lo], values[hi:]):
+            if len(rows):
+                _fft2_stack(rows)
         _free_flight(values, padded.mesh_ksq, flight)
         values = _ifft2_stack(values)
 
@@ -210,9 +232,11 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     logger.debug(
         "time of flight %.3g s: mean-field window of %d steps, dt %.3g s, "
         "over %d of %d orders; g*rho_max*dt %.3g rad (limit %g); "
+        "pruned orders %s, window phase x pruned share %.3g (limit %g); "
         "boundary mass fraction %.3g (limit %g)",
-        t_s, n_steps, dt * units.time_s, len(active), dim,
-        phase_per_step, WINDOW_PHASE_PER_STEP, frac, _BOUNDARY_MASS_LIMIT)
+        t_s, n_steps, dt * units.time_s, hi - lo, dim,
+        phase_per_step, WINDOW_PHASE_PER_STEP, pruned, phi_p,
+        _PRUNE_BUDGET, frac, _BOUNDARY_MASS_LIMIT)
     if not math.isfinite(frac):
         raise SimulationError(
             f"boundary mass fraction is {frac}: the state holds NaN or inf")

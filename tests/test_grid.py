@@ -267,19 +267,31 @@ class TestSplitStepFftCount:
         assert len(steps) > 1
         assert len(fft_calls) == 2 * len(steps) + 2
 
-    @pytest.mark.parametrize("pruned", [False, True])
-    def test_time_of_flight_costs_2n_plus_2(self, grid32, trap, units,
-                                            fft_calls, caplog, pruned):
+    @staticmethod
+    def fly(grid32, trap, units, caplog, empty_rows):
+        """Time of flight of a Thomas-Fermi cloud spread over orders -1..1,
+        with the given rows empty; returns the window's step count."""
         g2d = g2d_from_tf_radius(trap, 30e-6, units)
         cloud = thomas_fermi_profile(trap, g2d, grid32).field.values
         state = LadderState(grid32, 1)
         state.values[:] = cloud / math.sqrt(3.0)
-        if pruned:
-            state.values[0] = 0.0
+        state.values[empty_rows] = 0.0
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
             imaging.time_of_flight(state, 1e-3, 2e-4, g2d)
         (record,) = caplog.records
         n_steps = int(re.search(r"window of (\d+) steps",
                                 record.getMessage()).group(1))
         assert n_steps > 1
+        return n_steps
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_time_of_flight_costs_2n_plus_2(self, grid32, trap, units,
+                                            fft_calls, caplog, pruned):
+        n_steps = self.fly(grid32, trap, units, caplog, [0] if pruned else [])
         assert len(fft_calls) == 2 * n_steps + 2 + pruned
+
+    def test_time_of_flight_pruned_at_both_ends_costs_2n_plus_4(
+            self, grid32, trap, units, fft_calls, caplog):
+        # each pruned block at an end of the ladder is one forward call
+        n_steps = self.fly(grid32, trap, units, caplog, [0, 2])
+        assert len(fft_calls) == 2 * n_steps + 4

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
+from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
+                                    thomas_fermi_profile)
 from ramanvortex.diagnostics import vortex_report
 from ramanvortex.errors import SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
@@ -76,6 +77,8 @@ CALLS = {
     "coupling_rel_phase": lambda x, units: coupling_map(
         BeamSpec("lg", 50e-6, winding=1), BeamSpec("gaussian", 80e-6), 1e4,
         x, Grid2D(32, 32, 160e-6, 160e-6, units)),
+    "tf_g2d": lambda x, units: thomas_fermi_profile(
+        TrapSpec(40.0, 40.0), x, Grid2D(32, 32, 160e-6, 160e-6, units)),
     "beam_phase": lambda x, units: coupling_map(
         BeamSpec("lg", 50e-6, winding=1, phase=x),
         BeamSpec("gaussian", 80e-6), 1e4, 0.0,
@@ -88,6 +91,12 @@ CALLS = {
 def test_non_finite_argument_raises_simulation_error(name, bad, units):
     with pytest.raises(SimulationError):
         CALLS[name](bad, units)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-50], ids=["zero", "negative"])
+def test_thomas_fermi_needs_positive_coupling(bad, units):
+    with pytest.raises(SimulationError, match="finite g2d > 0"):
+        CALLS["tf_g2d"](bad, units)
 
 
 @pytest.mark.parametrize("name", ["image_blur_sigma_m", "image_noise_rms"])

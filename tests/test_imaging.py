@@ -9,14 +9,17 @@ bright-ring radius grows by the identical factor and the core never fills.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
-from ramanvortex import imaging
+from ramanvortex import imaging, scenarios
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     thomas_fermi_profile)
+from ramanvortex.config import ExperimentConfig
+from ramanvortex.dynamics import run_sequence
 from ramanvortex.errors import GridOverflowError, SimulationError
 from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
                              bilinear_sample)
@@ -135,11 +138,19 @@ class TestTimeOfFlight:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_pixel_trips_a_guard(self, units, window_s, bad):
         grid = Grid2D(32, 32, 80e-6, 80e-6, units)
-        state = gaussian_state(grid, 10e-6)
-        state.values[state.index(0), 16, 16] = bad
-        with pytest.raises(SimulationError, match="NaN or inf"):
-            time_of_flight(state, 1e-3, window_s,
-                           units.coupling2d_to_si(1000.0))
+        guard = "phase rate" if window_s else "boundary mass"
+        # the bright order 0, then order 1: an edge order faint enough for
+        # the window to prune, were it finite; the rate guard reads every
+        # order first
+        for order in (0, 1):
+            state = gaussian_state(grid, 10e-6)
+            state.values[state.index(1)] = 1e-7 * vortex_values(grid, 10e-6,
+                                                                1)
+            state.values[state.index(order), 16, 16] = bad
+            with pytest.raises(SimulationError,
+                               match=f"{guard} .*NaN or inf"):
+                time_of_flight(state, 1e-3, window_s,
+                               units.coupling2d_to_si(1000.0))
 
     def test_meanfield_window_error_is_second_order(self, units,
                                                     monkeypatch):
@@ -184,14 +195,18 @@ class TestTimeOfFlight:
 
     def test_logs_window_steps_and_boundary_mass_against_limits(
             self, units, caplog):
+        # order -1 is empty and order 1 faint: the rule prunes both
         grid = Grid2D(32, 32, 80e-6, 80e-6, units)
         state = gaussian_state(grid, 10e-6)
+        state.values[state.index(1)] = 1e-4 * vortex_values(grid, 10e-6, 1)
         g2d = units.coupling2d_to_si(1000.0)
         window_s = 5e-4
         phase = (units.time_to_internal(window_s)
                  * units.coupling2d_to_internal(g2d)
                  * state.total_density().max())
         n_steps = math.ceil(phase / imaging.WINDOW_PHASE_PER_STEP)
+        faint = state.population(1)
+        share = faint / (state.population(0) + faint)
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
             time_of_flight(state, 1e-3, window_s, g2d)
         (record,) = caplog.records
@@ -202,7 +217,10 @@ class TestTimeOfFlight:
         assert "over 1 of 3 orders" in message
         assert f"g*rho_max*dt {phase / n_steps:.3g} rad (limit 0.03)" in (
             message)
-        assert "(limit 1e-06)" in message
+        assert (f"pruned orders [-1, 1], window phase x pruned share "
+                f"{phase * share:.3g} (limit 1e-06)") in message
+        assert "boundary mass fraction" in message
+        assert message.endswith("(limit 1e-06)")
 
     def test_window_steps_follow_the_meanfield_phase_not_the_pitch(
             self, units, monkeypatch):
@@ -255,6 +273,37 @@ class TestTimeOfFlight:
                             imaging.WINDOW_PHASE_PER_STEP / 8.0)
         finer = flown_densities()
         assert np.abs(default - finer).max() <= 1e-6 * finer.max()
+
+    def test_pruning_meets_its_budget(self, caplog, monkeypatch):
+        # The benchmark vortex workload's pulse at 64^2, flown with the
+        # default 500 us window.  Largest density error of any order,
+        # after the whole flight, against a window that prunes nothing:
+        # within _PRUNE_BUDGET of the image peak, and within the window
+        # phase times the pruned share that the rule bounds.
+        cfg = ExperimentConfig.from_mapping({
+            "schema_version": 1,
+            "scenario": "single_vortex",
+            "grid": {"points_y": 64, "points_z": 64, "n_max": 3},
+            "beams": {"lg": {"kind": "lg", "waist_m": 8.5e-5, "winding": 1},
+                      "g": {"kind": "gaussian", "waist_m": 1.75e-4}},
+            "pulses": [{"absorb": "lg", "emit": "g",
+                        "rabi_rate_rad_s": 2.19e5, "detuning_recoils": 4.0,
+                        "duration_s": 1.0e-5}]})
+        ctx = scenarios._prepare(cfg)
+        state, _ = run_sequence(ctx.initial_state(), cfg.pulses(ctx.grid),
+                                ctx.trap, ctx.g2d_j_m2)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
+            pruned = np.abs(ctx.expand(state).values) ** 2
+        (record,) = caplog.records
+        assert "pruned orders [-3, -2, 3]," in record.getMessage()
+        phi_p = float(re.search(r"pruned share (\S+)",
+                                record.getMessage()).group(1))
+        budget = imaging._PRUNE_BUDGET
+        monkeypatch.setattr(imaging, "_PRUNE_BUDGET", 0.0)
+        unpruned = np.abs(ctx.expand(state).values) ** 2
+        error = np.abs(pruned - unpruned).max()
+        assert error <= phi_p * unpruned.max()
+        assert error <= budget * unpruned.max()
 
     def test_negative_time_and_thin_padding_rejected(self, grid64):
         state = gaussian_state(grid64, 10e-6)
@@ -485,6 +534,21 @@ class TestPgmRoundTrip:
         with open(path + ".meta", "w") as fh:
             fh.writelines(lines)
         with pytest.raises(SimulationError, match=f"small.pgm.*{key}"):
+            read_pgm(path)
+
+    # these parse as floats; the sidecar parser, not ImagePlane, names them
+    @pytest.mark.parametrize("key", ["pitch_m", "min_value", "max_value"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_value_rejected(self, tmp_path, key, value):
+        path = str(tmp_path / "small.pgm")
+        write_pgm(ImagePlane(np.arange(12.0).reshape(3, 4), 2.5e-6), path)
+        with open(path + ".meta") as fh:
+            lines = [f"{key}={value}\n" if l.startswith(key + "=") else l
+                     for l in fh]
+        with open(path + ".meta", "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(SimulationError,
+                           match=f"small.pgm.*{key}.*not finite"):
             read_pgm(path)
 
     def test_non_pgm_rejected(self, tmp_path):

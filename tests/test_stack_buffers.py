@@ -1,6 +1,7 @@
 """The split-step loop and time of flight against their earlier versions,
-kept here verbatim as references (apart from names, and a copy handed to
-each forward transform, which now runs in place), and the memory the
+kept here verbatim as references (apart from names, a copy handed to
+each forward transform, which now runs in place, and the time of
+flight's pruning rule, which the reference follows), and the memory the
 package now holds through them.
 
 The references take a fresh spectrum from every forward transform, sum
@@ -10,6 +11,7 @@ buffer, so every comparison is exact, byte for byte (signed zeros
 included), not a tolerance.
 """
 
+import logging
 import math
 import tracemalloc
 
@@ -91,17 +93,29 @@ def reference_time_of_flight(state, t_s, meanfield_window_s, g2d_j_m2,
 
     flight = np.full(len(values), t)
     if t_window > 0.0:
-        pops = np.sum(np.abs(values) ** 2, axis=(1, 2)) * padded.cell_area
-        active = np.flatnonzero(~(pops <= imaging._PRUNE_POPULATION))
-        rho_max = np.sum(np.abs(values[active]) ** 2, axis=0).max()
+        pops = list(np.sum(np.abs(values) ** 2, axis=(1, 2))
+                    * padded.cell_area)
+        rho_max = np.sum(np.abs(values) ** 2, axis=0).max()
         rate = float(abs(g) * rho_max)
+        phi = t_window * rate
+        # prune the fainter edge order (the first on a tie) while the
+        # window's phase times the pruned share stays within budget
+        window, pruned_pop = list(range(len(values))), 0.0
+        while window:
+            k = min((window[0], window[-1]), key=lambda k: pops[k])
+            if not phi * (pruned_pop + pops[k]) <= (imaging._PRUNE_BUDGET
+                                                     * sum(pops)):
+                break
+            pruned_pop += pops[k]
+            window.remove(k)
+        active = np.array(window, dtype=int)
+        pruned = np.setdiff1d(np.arange(len(values)), active)
         n_steps = max(1, math.ceil(t_window * rate
                                    / imaging.WINDOW_PHASE_PER_STEP))
         dt = t_window / n_steps
         spec = reference_strang_spectrum(values[active], padded.mesh_ksq, dt,
                                          n_steps, g)
         flight[active] -= t_window
-        pruned = np.flatnonzero(pops <= imaging._PRUNE_POPULATION)
         if pruned.size:
             values[pruned] = _fft2_stack(values[pruned])
         values[active] = spec
@@ -203,20 +217,30 @@ class TestTimeOfFlight:
     def state(self, grid32, trap, g2d):
         return ladder_mix(grid32, trap, g2d, 2)
 
-    @pytest.mark.parametrize("case", ["all_active", "one_pruned",
-                                      "zero_window", "no_flight"])
-    def test_matches_reference(self, state, g2d, case):
+    # the orders each case leaves out of the window's mean field
+    CASES = {"all_active": [], "one_pruned": [-2], "both_ends": [-2, 2],
+             "one_end_two_deep": [-2, -1], "zero_window": [],
+             "no_flight": []}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, state, g2d, case, caplog):
         t_s, window_s = 2e-3, 2e-4
-        if case == "one_pruned":
+        if case in ("one_pruned", "both_ends", "one_end_two_deep"):
             state.values[state.index(-2)] *= 1e-6
-            assert state.population(-2) < imaging._PRUNE_POPULATION
+        if case == "both_ends":
+            state.values[state.index(2)] *= 1e-6
+        elif case == "one_end_two_deep":
+            state.values[state.index(-1)] *= 1e-4
         elif case == "zero_window":
             window_s = 0.0
         elif case == "no_flight":
             t_s = 0.0
         before = state.values.copy()
         expected = reference_time_of_flight(state, t_s, window_s, g2d)
-        out = time_of_flight(state, t_s, window_s, g2d)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
+            out = time_of_flight(state, t_s, window_s, g2d)
+        (record,) = caplog.records
+        assert f"pruned orders {self.CASES[case]}," in record.getMessage()
         assert_identical(out.values, expected)
         assert_identical(state.values, before)
 
