@@ -36,8 +36,9 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="override the config's output directory")
     parser.add_argument("--threads", type=_positive_int, default=1,
                         metavar="N",
-                        help="FFT worker threads (default 1; bundles are "
-                             "checked bit-identical at 1, 2 and 4)")
+                        help="FFT worker count (default 1); numpy's FFT "
+                             "runs on one thread whatever N, and bundles "
+                             "are checked bit-identical at 1, 2 and 4")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true",
                            help="log relaxation and time-of-flight records")

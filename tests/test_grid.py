@@ -2,7 +2,10 @@
 
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,31 @@ def test_spectral_transform_plane_wave_is_single_bin(grid64):
     wave = np.exp(1j * g.k_y[iy] * g.mesh_y)
     power = np.abs(_fft2_stack(wave[None])[0]) ** 2
     assert power[0, iy] == pytest.approx(power.sum(), rel=1e-12)
+
+
+def test_complex_pair_returns_the_buffer_it_was_handed(grid64, rng):
+    stack = (rng.standard_normal((3,) + grid64.shape)
+             + 1j * rng.standard_normal((3,) + grid64.shape))
+    expected = np.fft.fftn(stack, axes=(-2, -1), norm="ortho")
+    buffer = stack.copy()
+    assert _fft2_stack(buffer) is buffer
+    assert np.array_equal(buffer, expected)
+    assert _ifft2_stack(buffer) is buffer
+    assert np.max(np.abs(buffer - stack)) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by the image blur, which imports it lazily
+    src = os.path.dirname(os.path.dirname(grid_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ramanvortex; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=120).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_field_shape_mismatch_raises(grid64, units):
