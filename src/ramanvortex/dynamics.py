@@ -37,6 +37,7 @@ phase e^{-4i n^2 t} per order.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ from .errors import (CalibrationError, SimulationError, StepSizeError,
 from .grid import (MAX_PHASE_PER_STEP, LadderState, _axial_phase,
                    _strang_evolve)
 from .optics import CouplingMap, scaled_coupling
+
+logger = logging.getLogger(__name__)
 
 # Hard cap on the internal step.  Measured L2 error of the state after a
 # 30 us, 2e4 rad/s LG x Gaussian pulse at 128^2 with the trap on, against
@@ -98,8 +101,9 @@ def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
 
 
 def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
-                   dt_s) -> tuple[int, float]:
-    """Step count and internal dt honoring the phase guard and the cap.
+                   dt_s) -> tuple[int, float, float, str]:
+    """Step count and internal dt honoring the phase guard and the cap,
+    the stiffest split phase per step at entry, and which limit set dt.
 
     The guarded rate is the larger of the kinetic rate at the grid's
     Nyquist corner and the trap plus mean-field rate at entry.
@@ -114,18 +118,23 @@ def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
         raise SimulationError(
             f"split phase rate is {rate}: the state holds NaN or inf")
     if dt_s is None:
-        dt_limit = min(MAX_INTERNAL_STEP, MAX_PHASE_PER_STEP / max(rate, 1e-12))
-        n_steps = max(1, math.ceil(t_total / dt_limit))
-        return n_steps, t_total / n_steps
-    dt = units.time_to_internal(dt_s)
-    if not dt > 0.0:
-        raise StepSizeError(f"dt = {dt_s} s is not > 0")
-    if dt * rate > MAX_PHASE_PER_STEP:
-        raise StepSizeError(
-            f"dt = {dt_s} s advances the stiffest split phase by "
-            f"{dt * rate:.3g} rad > {MAX_PHASE_PER_STEP} per substep")
-    n_steps = max(1, math.ceil(t_total / dt))
-    return n_steps, t_total / n_steps
+        guard = MAX_PHASE_PER_STEP / max(rate, 1e-12)
+        dt_limit = min(MAX_INTERNAL_STEP, guard)
+        set_by = ("MAX_INTERNAL_STEP" if MAX_INTERNAL_STEP <= guard
+                  else "the phase guard")
+    else:
+        dt_limit = units.time_to_internal(dt_s)
+        if not dt_limit > 0.0:
+            raise StepSizeError(f"dt = {dt_s} s is not > 0")
+        if dt_limit * rate > MAX_PHASE_PER_STEP:
+            raise StepSizeError(
+                f"dt = {dt_s} s advances the stiffest split phase by "
+                f"{dt_limit * rate:.3g} rad > {MAX_PHASE_PER_STEP} per "
+                f"substep")
+        set_by = "the given dt_s"
+    n_steps = max(1, math.ceil(t_total / dt_limit))
+    dt = t_total / n_steps
+    return n_steps, dt, dt * rate, set_by
 
 
 # Distinct values of s = |omega| / 2 per eigh call of the unitary build.
@@ -255,25 +264,38 @@ class _LadderPropagator:
         return flat
 
 
-def _check_norm(before: float, after: float, stage: str):
+def _norm_drift(before: float, after: float) -> tuple[float, float]:
+    """Norm change over a stage and the largest change the guard allows."""
+    return after - before, NORM_DRIFT_LIMIT * max(before, 1.0)
+
+
+def _check_norm(drift: float, limit: float, stage: str):
     # written as not (x <= limit) so that NaN trips every guard
-    if not abs(after - before) <= NORM_DRIFT_LIMIT * max(before, 1.0):
-        raise SimulationError(
-            f"norm drifted by {after - before:.3g} during {stage}")
+    if not abs(drift) <= limit:
+        raise SimulationError(f"norm drifted by {drift:.3g} during {stage}")
 
 
-def _check_edges(state: LadderState):
-    for n in (-state.n_max, state.n_max):
-        pop = state.population(n)
+def _edge_populations(state: LadderState) -> dict[int, float]:
+    return {n: state.population(n) for n in (-state.n_max, state.n_max)}
+
+
+def _check_edges(edges: dict[int, float]):
+    for n, pop in edges.items():
         if not pop <= EDGE_POPULATION_LIMIT:
             raise TruncationError(
                 f"population {pop:.3g} reached ladder edge n = {n}; raise "
-                f"n_max above {state.n_max}")
+                f"n_max above {abs(n)}")
 
 
 def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
                  g2d_j_m2: float, dt_s: float | None = None) -> LadderState:
-    """Apply one square pulse; returns a new state, input untouched."""
+    """Apply one square pulse; returns a new state, input untouched.
+
+    Logs one DEBUG record per pulse, before the norm and edge guards run:
+    the step count, dt and the limit that set it, the stiffest split
+    phase per step at entry, the norm drift and the edge populations, each
+    next to its limit.
+    """
     grid = state.grid
     units = grid.units
     if not pulse.coupling.omega.grid.same_geometry(grid):
@@ -283,7 +305,8 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
     t_total = units.time_to_internal(pulse.duration_s)
 
     norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
-    n_steps, dt = _resolve_steps(state, potential, g, t_total, dt_s)
+    n_steps, dt, phase, set_by = _resolve_steps(state, potential, g,
+                                                t_total, dt_s)
     deltas = detuning_ladder(pulse.delta_nu_recoils, state.n_max)
     ladder = _LadderPropagator(pulse.coupling, deltas, state.n_max, dt, units)
     values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
@@ -291,8 +314,19 @@ def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
 
     out = LadderState(grid, state.n_max, values)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    _check_norm(norm_before, norm_after, "a pulse")
-    _check_edges(out)
+    drift, drift_limit = _norm_drift(norm_before, norm_after)
+    edges = _edge_populations(out)
+    logger.debug(
+        "pulse %.3g s at %g recoils: %d steps, dt %.3g s (set by %s); "
+        "split phase %.3g rad per step (limit %g); norm drift %.3g "
+        "(limit %.3g); edge populations %s (limit %g)",
+        pulse.duration_s, pulse.delta_nu_recoils, n_steps,
+        units.time_to_si(dt), set_by, phase, MAX_PHASE_PER_STEP, drift,
+        drift_limit, ", ".join(f"{p:.3g} at n = {n}"
+                               for n, p in edges.items()),
+        EDGE_POPULATION_LIMIT)
+    _check_norm(drift, drift_limit, "a pulse")
+    _check_edges(edges)
     return out
 
 
@@ -315,11 +349,11 @@ def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
         return LadderState(grid, state.n_max, state.values.copy())
 
     norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
-    n_steps, dt = _resolve_steps(state, potential, g, t_total, None)
+    n_steps, dt, _, _ = _resolve_steps(state, potential, g, t_total, None)
     values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
                             g, potential)
     norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    _check_norm(norm_before, norm_after, "free evolution")
+    _check_norm(*_norm_drift(norm_before, norm_after), "free evolution")
     _axial_phase(values, t_total)
     return LadderState(grid, state.n_max, values)
 
@@ -350,19 +384,25 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
     return current, log
 
 
+# calibrate_pi_pulse: a coarse scan of _CALIBRATION_POINTS peak rates from
+# 0.5 to 2.5 times pi / duration, refined until the bracketed transfer
+# varies by less than _CALIBRATION_TOL.
+_CALIBRATION_SPAN = (0.5, 2.5)
+_CALIBRATION_POINTS = 9
+_CALIBRATION_TOL = 0.005
+
+
 def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
                        delta_nu_recoils: float, duration_s: float,
-                       trap: TrapSpec, g2d_j_m2: float,
-                       scan_span: tuple[float, float] = (0.5, 2.5),
-                       coarse_points: int = 9) -> tuple[float, float]:
+                       trap: TrapSpec, g2d_j_m2: float) -> tuple[float, float]:
     """Peak rate maximizing one-pulse transfer into order +1.
 
     Scans peak rates, coupling_shape scaled so that max |omega| is each
     trial rate, around the uniform-coupling value pi / duration on
-    orders -3..3 (coarse grid over scan_span multiples, then golden-section
-    refinement until the bracketed transfer varies by less than 0.005).
-    Returns (peak_rate_rad_s, achieved transfer).  Raises CalibrationError
-    when the best point sits at the scan edge.
+    orders -3..3: 9 rates evenly spaced from 0.5 to 2.5 times pi / duration,
+    then golden-section refinement until the bracketed transfer varies by
+    less than 0.005.  Returns (peak_rate_rad_s, achieved transfer).  Raises
+    CalibrationError when the best point sits at the scan edge.
     """
     if not 0.0 < duration_s < math.inf:
         raise SimulationError(
@@ -376,14 +416,14 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
                           delta_nu_recoils, duration_s)
         return evolve_pulse(initial, pulse, trap, g2d_j_m2).population(1)
 
-    rates = np.linspace(scan_span[0] * base, scan_span[1] * base,
-                        coarse_points)
+    rates = np.linspace(_CALIBRATION_SPAN[0] * base,
+                        _CALIBRATION_SPAN[1] * base, _CALIBRATION_POINTS)
     transfers = [transfer(r) for r in rates]
     best = int(np.argmax(transfers))
     if best in (0, len(rates) - 1):
         raise CalibrationError(
-            f"transfer keeps rising at the scan edge ({scan_span} times "
-            f"pi/duration); widen the scan")
+            f"transfer keeps rising at the scan edge "
+            f"({_CALIBRATION_SPAN} times pi/duration)")
 
     # Golden-section refinement inside the bracketing pair.
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -393,7 +433,7 @@ def calibrate_pi_pulse(state: GroundState, coupling_shape: CouplingMap,
     f1, f2 = transfer(x1), transfer(x2)
     candidates = {rates[best]: transfers[best], x1: f1, x2: f2}
     for _ in range(40):
-        if abs(f1 - f2) < 0.005 and abs(hi - lo) < 0.2 * base:
+        if abs(f1 - f2) < _CALIBRATION_TOL and abs(hi - lo) < 0.2 * base:
             break
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2

@@ -25,8 +25,11 @@ Scenario shapes:
                    starts pulse 1 from that state with order n turned by
                    e^{i n (phi_k - phi_0)}.
   double_charge    vortex diagnostics on order +2 taken before the final
-                   pulse (the interference readout), then the readout and
-                   the comparison against the two-profile pattern.
+                   pulse (the interference readout), and a first flight
+                   reduced to its images and the radial profiles of orders
+                   0 and +2 before the readout runs; then the readout and
+                   the comparison of its flight against the two-profile
+                   pattern.
   resonance_sweep  first-pulse detuning swept across sweep.*, one point
                    per isolated subdirectory, no TOF.
   custom           generic pipeline: whatever the sequence produces is
@@ -389,7 +392,14 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     summary["population_before_readout_order_p2"] = p2_before
     bundle.add_image("density_order_p2.pgm",
                      ctx.display_image(state, (2,), "density_order_p2"))
+    # only the radial profiles of orders 0 and +2 of the first flight are
+    # read again: take them now and drop the padded flight, so that the
+    # readout pulse does not run beside it
     before = _tof_images(bundle, ctx, state, prefix="tof_before_readout_")
+    profiles = None if before is None else [
+        radial_profile(ctx.analysis_image(before, (n,), label))
+        for n, label in ((0, "nonrot_profile"), (2, "rot_profile"))]
+    del before
 
     logger.info("running the interference readout pulse")
     final, read_log = run_sequence(state, pulses[last:], ctx.trap,
@@ -399,7 +409,7 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     _add_populations(summary, final)
     _dump_fields(bundle, ctx, final)
     flown = _tof_images(bundle, ctx, final)
-    if flown is None or before is None:
+    if flown is None or profiles is None:
         return summary
 
     # mixing weights of the 0<->2 readout from the population balance;
@@ -411,10 +421,7 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
         s_sq = min(1.0, max(0.0, (p2_after - p2_before)
                             / (p0_before - p2_before)))
     c_sq = 1.0 - s_sq
-    radii0, mean0 = radial_profile(ctx.analysis_image(before, (0,),
-                                                      "nonrot_profile"))
-    radii2, mean2 = radial_profile(ctx.analysis_image(before, (2,),
-                                                      "rot_profile"))
+    (radii0, mean0), (radii2, mean2) = profiles
     prof_nonrot = (radii0, math.sqrt(s_sq) * np.sqrt(np.maximum(mean0, 0.0)))
     prof_rot = (radii2, math.sqrt(c_sq) * np.sqrt(np.maximum(mean2, 0.0)))
     analysis = ctx.analysis_image(flown, (2,), "interference_order_p2")

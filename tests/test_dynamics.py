@@ -7,6 +7,7 @@ beams are checked through conserved quantities, step-halving consistency
 and the winding they imprint.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -17,12 +18,13 @@ from ramanvortex import dynamics
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     gaussian_profile, thomas_fermi_profile)
 from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
+                                  _edge_populations, _norm_drift,
                                   calibrate_pi_pulse, detuning_ladder,
                                   evolve_free, evolve_pulse, run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
                                 StepSizeError, TruncationError)
-from ramanvortex.grid import (Grid2D, LadderState, TransverseField,
-                              bilinear_sample)
+from ramanvortex.grid import (MAX_PHASE_PER_STEP, Grid2D, LadderState,
+                              TransverseField, bilinear_sample)
 from ramanvortex.imaging import time_of_flight
 from ramanvortex.optics import (BeamSpec, CouplingMap, coupling_map,
                                 mode_field, scaled_coupling,
@@ -503,12 +505,73 @@ class TestCalibration:
         assert rate == pytest.approx(math.pi / duration, rel=0.05)
         assert achieved > 0.995
 
-    def test_monotone_edge_raises(self, grid32, trap):
+    def test_monotone_edge_raises(self, grid32, trap, monkeypatch):
+        # a scan that ends below pi / duration sees the transfer rising
+        monkeypatch.setattr(dynamics, "_CALIBRATION_SPAN", (0.2, 0.6))
+        monkeypatch.setattr(dynamics, "_CALIBRATION_POINTS", 5)
         gs = gaussian_profile(trap, grid32)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="scan edge"):
             calibrate_pi_pulse(gs, uniform_coupling(1.0e4, grid32), 4.0,
-                               100e-6, trap, 0.0, scan_span=(0.2, 0.6),
-                               coarse_points=5)
+                               100e-6, trap, 0.0)
+
+
+class TestPulseLog:
+    @pytest.fixture()
+    def grid32(self, units):
+        return Grid2D(32, 32, 160e-6, 160e-6, units)
+
+    # a tenfold mean field makes the phase guard, not the cap, set dt
+    @pytest.mark.parametrize("g_scale, dt_s, set_by", [
+        (1.0, None, "MAX_INTERNAL_STEP"),
+        (10.0, None, "the phase guard"),
+        (1.0, 1e-7, "the given dt_s"),
+    ])
+    def test_logs_steps_phase_drift_and_edges_against_limits(
+            self, grid32, trap, g2d, units, caplog, g_scale, dt_s, set_by):
+        state = packet_state(grid32, trap)
+        pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
+        g = units.coupling2d_to_internal(g_scale * g2d)
+        rate = max(float(trap.potential_internal(grid32).max())
+                   + g * float(state.total_density().max()),
+                   float(grid32.mesh_ksq.max()))
+        if dt_s is None:
+            dt_limit = min(dynamics.MAX_INTERNAL_STEP,
+                           MAX_PHASE_PER_STEP / rate)
+        else:
+            dt_limit = units.time_to_internal(dt_s)
+        t_total = units.time_to_internal(pulse.duration_s)
+        n_steps = math.ceil(t_total / dt_limit)
+        dt = t_total / n_steps
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            out = evolve_pulse(state, pulse, trap, g_scale * g2d, dt_s)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert (f"{n_steps} steps, dt {units.time_to_si(dt):.3g} s "
+                f"(set by {set_by})") in message
+        assert (f"split phase {dt * rate:.3g} rad per step (limit 0.1)"
+                in message)
+
+        def norm(s):
+            return float(np.sum(np.abs(s.values) ** 2) * grid32.cell_area)
+
+        assert (f"norm drift {norm(out) - norm(state):.3g} "
+                f"(limit {1e-9 * max(norm(state), 1.0):.3g})") in message
+        assert message.endswith(
+            f"edge populations {out.population(-3):.3g} at n = -3, "
+            f"{out.population(3):.3g} at n = 3 (limit 0.001)")
+
+    def test_logs_before_the_edge_guard_raises(self, grid32, trap, g2d,
+                                               caplog):
+        # a pi pulse on a ladder of orders -1..1 fills the edge order +1
+        state = packet_state(grid32, trap, n_max=1)
+        pulse = PulseSpec(uniform_coupling(math.pi / 30e-6, grid32), 4.0,
+                          30e-6)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            with pytest.raises(TruncationError):
+                evolve_pulse(state, pulse, trap, g2d)
+        (record,) = caplog.records
+        assert record.getMessage().endswith("at n = 1 (limit 0.001)")
 
 
 class TestGuards:
@@ -551,11 +614,11 @@ class TestGuards:
 
     def test_nan_trips_norm_and_edge_guards(self, grid32, trap):
         with pytest.raises(SimulationError):
-            _check_norm(1.0, math.nan, "a pulse")
+            _check_norm(*_norm_drift(1.0, math.nan), "a pulse")
         state = packet_state(grid32, trap, n_max=2)
         state.values[state.index(2), 0, 0] = math.nan
         with pytest.raises(TruncationError):
-            _check_edges(state)
+            _check_edges(_edge_populations(state))
 
     def test_norm_drift_trips_free_evolution(self, grid32, trap, g2d,
                                              monkeypatch):

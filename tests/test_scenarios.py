@@ -1,7 +1,9 @@
 """Scenario bundles: artifact inventory, determinism, and wiring."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -232,12 +234,15 @@ def double_charge_pulses():
 
 
 class TestDoubleCharge:
+    @staticmethod
+    def flown_config(tmp_path):
+        return small("double_charge", double_charge_pulses(), tmp_path,
+                     grid={"points_y": 64, "points_z": 64, "n_max": 4},
+                     imaging={"time_of_flight_s": 3e-3,
+                              "meanfield_window_s": 3e-4})
+
     def test_winding_two_and_minima(self, tmp_path):
-        config = small("double_charge", double_charge_pulses(), tmp_path,
-                       grid={"points_y": 64, "points_z": 64, "n_max": 4},
-                       imaging={"time_of_flight_s": 3e-3,
-                                "meanfield_window_s": 3e-4})
-        result = run_scenario(config)
+        result = run_scenario(self.flown_config(tmp_path))
         assert result.summary["winding_order_p2"] == 2
         assert result.summary["l_z_order_p2"] == pytest.approx(2.0, abs=0.05)
         sep = result.summary["minima_separation_rad"]
@@ -246,6 +251,31 @@ class TestDoubleCharge:
         p2 = result.summary["population_before_readout_order_p2"]
         p1_after_first = 0.18
         assert 0.6 < p2 / p1_after_first < 0.95
+
+    def test_first_flight_is_released_before_the_readout(self, tmp_path,
+                                                         monkeypatch):
+        # only two radial profiles of the first flight are read again, so
+        # the padded flight must not be held while the readout pulse runs
+        flights, alive_at_readout = [], []
+        flight = scenarios.time_of_flight
+        sequence = scenarios.run_sequence
+
+        def tracking_flight(*args, **kwargs):
+            flown = flight(*args, **kwargs)
+            flights.append(weakref.ref(flown))
+            return flown
+
+        def checking_sequence(*args, **kwargs):
+            gc.collect()
+            if flights:
+                alive_at_readout.append(flights[0]() is not None)
+            return sequence(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "time_of_flight", tracking_flight)
+        monkeypatch.setattr(scenarios, "run_sequence", checking_sequence)
+        run_scenario(self.flown_config(tmp_path))
+        assert len(flights) == 2
+        assert alive_at_readout == [False]
 
     def test_readout_runs_the_configured_sequence(self, tmp_path):
         # a trap-off pulse with a delay before the readout: the delay

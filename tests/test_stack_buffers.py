@@ -176,8 +176,8 @@ class TestSplitStepLoop:
                                 grid64)
         potential = trap.potential_internal(grid64)
         g = units.coupling2d_to_internal(g2d)
-        n_steps, dt = _resolve_steps(state, potential, g,
-                                     units.time_to_internal(1e-5), None)
+        n_steps, dt, _, _ = _resolve_steps(state, potential, g,
+                                           units.time_to_internal(1e-5), None)
         assert n_steps > 2
         ladder = _LadderPropagator(coupling, detuning_ladder(4.0, 3), 3, dt,
                                    units)
@@ -194,8 +194,8 @@ class TestSplitStepLoop:
         state = ladder_mix(grid32, trap, g2d, 2)
         potential = trap.potential_internal(grid32)
         g = units.coupling2d_to_internal(g2d)
-        n_steps, dt = _resolve_steps(state, potential, g,
-                                     units.time_to_internal(2e-5), None)
+        n_steps, dt, _, _ = _resolve_steps(state, potential, g,
+                                           units.time_to_internal(2e-5), None)
         assert n_steps > 2
         expected = reference_strang_evolve(state.values, grid32.mesh_ksq, dt,
                                            n_steps, g, potential)
