@@ -32,7 +32,10 @@ actually used.
 
 Free evolution (the delay after a pulse, the last one being the hold before
 imaging) is the same loop without the ladder, followed by the exact axial
-phase e^{-4i n^2 t} per order.
+phase e^{-4i n^2 t} per order.  Pulses and delays share one runner,
+_run_stage: it reads the total density once before the loop, for the step
+and the norm, and each order's population once after it, for the norm and
+ladder-edge guards, and logs one DEBUG record per stage before they raise.
 """
 
 from __future__ import annotations
@@ -100,18 +103,17 @@ def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
     return 4.0 * n * n - n * delta_nu_recoils
 
 
-def _resolve_steps(state: LadderState, potential, g: float, t_total: float,
-                   dt_s) -> tuple[int, float, float, str]:
+def _resolve_steps(grid, rho_max: float, potential, g: float,
+                   t_total: float, dt_s) -> tuple[int, float, float, str]:
     """Step count and internal dt honoring the phase guard and the cap,
     the stiffest split phase per step at entry, and which limit set dt.
 
     The guarded rate is the larger of the kinetic rate at the grid's
-    Nyquist corner and the trap plus mean-field rate at entry.
+    Nyquist corner and the trap plus mean-field rate at entry, where the
+    total density peaks at rho_max.
     """
-    grid = state.grid
     units = grid.units
     v_max = 0.0 if potential is None else float(potential.max())
-    rho_max = float(state.total_density().max())
     # NaN-propagating order: max(nan, x) is nan, max(x, nan) is x
     rate = max(v_max + g * rho_max, float(grid.mesh_ksq.max()))
     if not math.isfinite(rate):
@@ -264,19 +266,10 @@ class _LadderPropagator:
         return flat
 
 
-def _norm_drift(before: float, after: float) -> tuple[float, float]:
-    """Norm change over a stage and the largest change the guard allows."""
-    return after - before, NORM_DRIFT_LIMIT * max(before, 1.0)
-
-
 def _check_norm(drift: float, limit: float, stage: str):
     # written as not (x <= limit) so that NaN trips every guard
     if not abs(drift) <= limit:
         raise SimulationError(f"norm drifted by {drift:.3g} during {stage}")
-
-
-def _edge_populations(state: LadderState) -> dict[int, float]:
-    return {n: state.population(n) for n in (-state.n_max, state.n_max)}
 
 
 def _check_edges(edges: dict[int, float]):
@@ -287,75 +280,79 @@ def _check_edges(edges: dict[int, float]):
                 f"n_max above {abs(n)}")
 
 
-def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
-                 g2d_j_m2: float, dt_s: float | None = None) -> LadderState:
-    """Apply one square pulse; returns a new state, input untouched.
-
-    Logs one DEBUG record per pulse, before the norm and edge guards run:
-    the step count, dt and the limit that set it, the stiffest split
-    phase per step at entry, the norm drift and the edge populations, each
-    next to its limit.
+def _run_stage(state: LadderState, duration_s: float, trap: TrapSpec | None,
+               g2d_j_m2: float, pulse: PulseSpec | None = None,
+               dt_s: float | None = None) -> LadderState:
+    """The one runner of pulses and delays: a pulse with its ladder or,
+    with pulse None, a delay with its axial phase.  The total density read
+    before the loop gives rho_max and the norm before; the populations
+    read after it, with U dropped, give the norm after and the edge
+    populations.  One DEBUG record puts steps, dt, split phase, norm drift
+    and edge populations next to their limits before the guards can raise.
     """
     grid = state.grid
     units = grid.units
-    if not pulse.coupling.omega.grid.same_geometry(grid):
-        raise SimulationError("coupling map and state use different grids")
     g = units.coupling2d_to_internal(g2d_j_m2)
-    potential = trap.potential_internal(grid) if pulse.trap_on else None
-    t_total = units.time_to_internal(pulse.duration_s)
-
-    norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
-    n_steps, dt, phase, set_by = _resolve_steps(state, potential, g,
-                                                t_total, dt_s)
-    deltas = detuning_ladder(pulse.delta_nu_recoils, state.n_max)
-    ladder = _LadderPropagator(pulse.coupling, deltas, state.n_max, dt, units)
+    potential = trap.potential_internal(grid) if trap is not None else None
+    t_total = units.time_to_internal(duration_s)
+    rho = state.total_density()
+    norm_before = float(rho.sum() * grid.cell_area)
+    n_steps, dt, phase, set_by = _resolve_steps(
+        grid, float(rho.max()), potential, g, t_total, dt_s)
+    del rho
+    ladder = None if pulse is None else _LadderPropagator(
+        pulse.coupling, detuning_ladder(pulse.delta_nu_recoils, state.n_max),
+        state.n_max, dt, units)
     values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
                             g, potential, ladder)
+    del ladder
+    if pulse is None:
+        _axial_phase(values, t_total)
 
     out = LadderState(grid, state.n_max, values)
-    norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    drift, drift_limit = _norm_drift(norm_before, norm_after)
-    edges = _edge_populations(out)
+    pops = {n: out.population(n) for n in out.orders}
+    drift = sum(pops.values()) - norm_before
+    drift_limit = NORM_DRIFT_LIMIT * max(norm_before, 1.0)
+    edges = {n: pops[n] for n in (-state.n_max, state.n_max)}
     logger.debug(
-        "pulse %.3g s at %g recoils: %d steps, dt %.3g s (set by %s); "
-        "split phase %.3g rad per step (limit %g); norm drift %.3g "
-        "(limit %.3g); edge populations %s (limit %g)",
-        pulse.duration_s, pulse.delta_nu_recoils, n_steps,
-        units.time_to_si(dt), set_by, phase, MAX_PHASE_PER_STEP, drift,
-        drift_limit, ", ".join(f"{p:.3g} at n = {n}"
-                               for n, p in edges.items()),
+        "%s %.3g s%s: %d steps, dt %.3g s (set by %s); split phase %.3g rad "
+        "per step (limit %g); norm drift %.3g (limit %.3g); edge populations "
+        "%s (limit %g)", "delay" if pulse is None else "pulse", duration_s,
+        "" if pulse is None else f" at {pulse.delta_nu_recoils:g} recoils",
+        n_steps, units.time_to_si(dt), set_by, phase, MAX_PHASE_PER_STEP,
+        drift, drift_limit,
+        ", ".join(f"{p:.3g} at n = {n}" for n, p in edges.items()),
         EDGE_POPULATION_LIMIT)
-    _check_norm(drift, drift_limit, "a pulse")
+    _check_norm(drift, drift_limit,
+                "free evolution" if pulse is None else "a pulse")
     _check_edges(edges)
     return out
 
 
+def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
+                 g2d_j_m2: float, dt_s: float | None = None) -> LadderState:
+    """Apply one square pulse; returns a new state, input untouched.
+    Logs one DEBUG record and runs the norm and edge guards (_run_stage).
+    """
+    if not pulse.coupling.omega.grid.same_geometry(state.grid):
+        raise SimulationError("coupling map and state use different grids")
+    return _run_stage(state, pulse.duration_s,
+                      trap if pulse.trap_on else None, g2d_j_m2, pulse, dt_s)
+
+
 def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
                 g2d_j_m2: float) -> LadderState:
-    """Lab-frame evolution with the beams off.
-
-    The axial kinetic energy 4 n^2 E_r is a global per-order phase applied
-    exactly; the transverse terms use the same splitting as a pulse, with
-    the automatic step of _resolve_steps.
+    """Lab-frame evolution with the beams off: the transverse terms split
+    as in a pulse, then the axial kinetic energy 4 n^2 E_r applied exactly
+    as a global per-order phase.  A delay longer than zero runs in
+    _run_stage, with one DEBUG record and the pulse's guards.
     """
     if not 0.0 <= duration_s < math.inf:
         raise SimulationError(
             f"duration {duration_s} s is not finite and >= 0")
-    grid = state.grid
-    g = grid.units.coupling2d_to_internal(g2d_j_m2)
-    potential = trap.potential_internal(grid) if trap is not None else None
-    t_total = grid.units.time_to_internal(duration_s)
-    if t_total == 0.0:
-        return LadderState(grid, state.n_max, state.values.copy())
-
-    norm_before = float(np.sum(np.abs(state.values) ** 2) * grid.cell_area)
-    n_steps, dt, _, _ = _resolve_steps(state, potential, g, t_total, None)
-    values = _strang_evolve(state.values.copy(), grid.mesh_ksq, dt, n_steps,
-                            g, potential)
-    norm_after = float(np.sum(np.abs(values) ** 2) * grid.cell_area)
-    _check_norm(*_norm_drift(norm_before, norm_after), "free evolution")
-    _axial_phase(values, t_total)
-    return LadderState(grid, state.n_max, values)
+    if duration_s == 0.0:
+        return LadderState(state.grid, state.n_max, state.values.copy())
+    return _run_stage(state, duration_s, trap, g2d_j_m2)
 
 
 def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
@@ -363,7 +360,7 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
                  ) -> tuple[LadderState, list[dict]]:
     """Apply the pulses in order, each followed by its delay; log
     populations after each pulse, before its delay.  Pulses and delays
-    take the automatic step of _resolve_steps.
+    take the automatic step of _resolve_steps and log as in _run_stage.
 
     One log record per pulse, in order, carrying delta_nu_recoils,
     duration_s and the per-order populations.  Slicing the pulses splits a
@@ -372,6 +369,8 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
     log = []
     current = state
     for pulse in pulses:
+        # evolve_pulse, not _run_stage: perfbench's tracer and other
+        # wrappers of evolve_pulse must see every pulse of a sequence
         current = evolve_pulse(current, pulse, trap, g2d_j_m2)
         log.append({
             "delta_nu_recoils": pulse.delta_nu_recoils,

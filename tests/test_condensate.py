@@ -314,10 +314,11 @@ class TestRelaxationMatchesReference:
             units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)
 
 
-# Relaxes a 128^2 Thomas-Fermi seed and prints a digest of the result;
-# at 32^2 the reductions are too short for OpenBLAS to split them.
+# Relaxes a 128^2 Thomas-Fermi seed and prints a digest of the result and,
+# from the relaxation's DEBUG record, its step count; at 32^2 the
+# reductions are too short for OpenBLAS to split them.
 _RELAX_AND_DIGEST = """
-import hashlib, math
+import hashlib, logging, math, re
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     relax_ground_state, thomas_fermi_profile)
 from ramanvortex.grid import Grid2D
@@ -327,9 +328,17 @@ units = make_recoil_units(PhysicalParams(SODIUM_MASS_KG, SODIUM_WAVELENGTH_M))
 grid = Grid2D(128, 128, 160e-6, 160e-6, units)
 trap = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
 g2d = g2d_from_tf_radius(trap, 30e-6, units)
+records = []
+handler = logging.Handler()
+handler.emit = records.append
+log = logging.getLogger("ramanvortex.condensate")
+log.setLevel(logging.DEBUG)
+log.addHandler(handler)
 out = relax_ground_state(thomas_fermi_profile(trap, g2d, grid), trap, g2d)
+(record,) = records
 print(hashlib.sha256(out.field.values.tobytes()).hexdigest(),
       repr(out.chemical_potential_j))
+print(re.search(r"relaxed in (\\d+) steps", record.getMessage()).group(1))
 """
 
 
@@ -344,5 +353,9 @@ def test_relaxation_is_the_same_at_one_and_two_blas_threads():
         run = subprocess.run([sys.executable, "-c", _RELAX_AND_DIGEST],
                              env=env, capture_output=True, text=True,
                              check=True)
-        digests.append(run.stdout)
+        digest, steps = run.stdout.splitlines()
+        digests.append(digest)
+        # the last step's energy change, 9.98e-10, sits just under tol
+        # 1e-9, so a rounding-level change to the loop can add a step
+        assert steps == "2104"
     assert digests[0] == digests[1]

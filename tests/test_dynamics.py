@@ -18,7 +18,6 @@ from ramanvortex import dynamics
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     gaussian_profile, thomas_fermi_profile)
 from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
-                                  _edge_populations, _norm_drift,
                                   calibrate_pi_pulse, detuning_ladder,
                                   evolve_free, evolve_pulse, run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
@@ -47,6 +46,14 @@ def g2d(trap, units):
 def packet_state(grid, trap, n_max=3):
     return LadderState.from_single_order(gaussian_profile(trap, grid).field,
                                          n_max)
+
+
+def logged_drift(before, after):
+    """The norm drift of a stage as its DEBUG record gives it: the total
+    density summed before, each order's population summed after."""
+    norm = float(before.total_density().sum() * before.grid.cell_area)
+    drift = sum(after.population(n) for n in after.orders) - norm
+    return f"norm drift {drift:.3g} (limit {1e-9 * max(norm, 1.0):.3g})"
 
 
 def lg_g_coupling(grid, peak_rate, rel_phase=0.0, winding=1):
@@ -442,6 +449,23 @@ class TestSequence:
             p2, trap, g2d)
         assert np.allclose(with_delay.values, manual.values, atol=1e-12)
 
+    def test_logs_one_record_per_pulse_and_per_delay(self, units, trap,
+                                                      g2d, caplog):
+        grid = Grid2D(32, 32, 160e-6, 160e-6, units)
+        pulses = (
+            PulseSpec(uniform_coupling(2.0e4, grid), 4.0, 10e-6,
+                      delay_after_s=20e-6),
+            PulseSpec(uniform_coupling(2.0e4, grid), 4.0, 10e-6),
+            PulseSpec(uniform_coupling(2.0e4, grid), 0.0, 10e-6,
+                      trap_on=False, delay_after_s=30e-6),
+        )
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            run_sequence(packet_state(grid, trap), pulses, trap, g2d)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "pulse 1e-05 s at 4 recoils", "delay 2e-05 s",
+            "pulse 1e-05 s at 4 recoils", "pulse 1e-05 s at 0 recoils",
+            "delay 3e-05 s"]
+
     def test_sequence_validation(self, grid64):
         with pytest.raises(SimulationError):
             PulseSpec(uniform_coupling(1.0e4, grid64), 4.0, 1e-5,
@@ -551,12 +575,7 @@ class TestPulseLog:
                 f"(set by {set_by})") in message
         assert (f"split phase {dt * rate:.3g} rad per step (limit 0.1)"
                 in message)
-
-        def norm(s):
-            return float(np.sum(np.abs(s.values) ** 2) * grid32.cell_area)
-
-        assert (f"norm drift {norm(out) - norm(state):.3g} "
-                f"(limit {1e-9 * max(norm(state), 1.0):.3g})") in message
+        assert logged_drift(state, out) in message
         assert message.endswith(
             f"edge populations {out.population(-3):.3g} at n = -3, "
             f"{out.population(3):.3g} at n = 3 (limit 0.001)")
@@ -572,6 +591,25 @@ class TestPulseLog:
                 evolve_pulse(state, pulse, trap, g2d)
         (record,) = caplog.records
         assert record.getMessage().endswith("at n = 1 (limit 0.001)")
+
+    def test_delay_logs_one_record_against_limits(self, grid32, trap, g2d,
+                                                  units, caplog):
+        state = packet_state(grid32, trap)
+        t_total = units.time_to_internal(1e-5)
+        n_steps = math.ceil(t_total / dynamics.MAX_INTERNAL_STEP)
+        dt = units.time_to_si(t_total / n_steps)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            out = evolve_free(state, 1e-5, trap, g2d)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith(
+            f"delay 1e-05 s: {n_steps} steps, dt {dt:.3g} s (set by "
+            f"MAX_INTERNAL_STEP); split phase ")
+        assert logged_drift(state, out) in message
+        assert message.endswith(
+            f"edge populations {out.population(-3):.3g} at n = -3, "
+            f"{out.population(3):.3g} at n = 3 (limit 0.001)")
 
 
 class TestGuards:
@@ -612,22 +650,43 @@ class TestGuards:
         with pytest.raises(SimulationError, match=r"nan|inf"):
             calls[entry]()
 
-    def test_nan_trips_norm_and_edge_guards(self, grid32, trap):
+    def test_nan_trips_norm_and_edge_guards(self, grid32, trap, g2d,
+                                            monkeypatch, caplog):
         with pytest.raises(SimulationError):
-            _check_norm(*_norm_drift(1.0, math.nan), "a pulse")
-        state = packet_state(grid32, trap, n_max=2)
-        state.values[state.index(2), 0, 0] = math.nan
+            _check_norm(math.nan, 1e-9, "a pulse")
         with pytest.raises(TruncationError):
-            _check_edges(_edge_populations(state))
+            _check_edges({2: math.nan})
+        # a NaN that the loop leaves in the edge order reaches the
+        # populations; the norm guard, which runs first, trips on it
+        loop = dynamics._strang_evolve
+
+        def nan_at_edge(*args):
+            out = loop(*args)
+            out[-1, 0, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "_strang_evolve", nan_at_edge)
+        state = packet_state(grid32, trap, n_max=2)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            with pytest.raises(SimulationError, match="drifted by nan"):
+                evolve_free(state, 1e-5, trap, g2d)
+        (record,) = caplog.records
+        assert "nan at n = 2 (limit 0.001)" in record.getMessage()
 
     def test_norm_drift_trips_free_evolution(self, grid32, trap, g2d,
-                                             monkeypatch):
+                                             monkeypatch, caplog):
         loop = dynamics._strang_evolve
         monkeypatch.setattr(dynamics, "_strang_evolve",
                             lambda *args: loop(*args) * (1.0 + 1e-6))
         state = packet_state(grid32, trap)
-        with pytest.raises(SimulationError, match="during free evolution"):
-            evolve_free(state, 1e-5, trap, g2d)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
+            with pytest.raises(SimulationError,
+                               match="during free evolution"):
+                evolve_free(state, 1e-5, trap, g2d)
+        # the record is written before the guard raises
+        (record,) = caplog.records
+        assert record.getMessage().startswith("delay 1e-05 s: ")
+        assert "(limit 1e-09)" in record.getMessage()
 
     def test_oversized_explicit_dt_rejected(self, grid128, trap):
         state = packet_state(grid128, trap)
