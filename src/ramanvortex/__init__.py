@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .units import (PhysicalParams, UnitSystem, make_recoil_units,
                     SODIUM_MASS_KG, SODIUM_WAVELENGTH_M)
 from .grid import (Grid2D, TransverseField, LadderState, save_field,
-                   load_field, set_fft_workers)
+                   load_field)
 from .errors import (SimulationError, ConfigError, GuardError,
                      TruncationError, StepSizeError, ConvergenceError,
                      GridOverflowError, DensityFloorError, ContrastError,
@@ -33,7 +33,6 @@ __all__ = [
     "PhysicalParams", "UnitSystem", "make_recoil_units",
     "SODIUM_MASS_KG", "SODIUM_WAVELENGTH_M",
     "Grid2D", "TransverseField", "LadderState", "save_field", "load_field",
-    "set_fft_workers",
     "SimulationError", "ConfigError", "GuardError", "TruncationError",
     "StepSizeError", "ConvergenceError", "GridOverflowError",
     "DensityFloorError", "ContrastError", "AmbiguousHoleError",

@@ -13,7 +13,6 @@ import sys
 
 from .config import SCENARIOS, ConfigError, dumps, load_config
 from .errors import SimulationError
-from .grid import set_fft_workers
 from .scenarios import run_scenario
 
 logger = logging.getLogger("ramanvortex")
@@ -23,22 +22,10 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("config", help="path to a JSON scenario config")
     parser.add_argument("-o", "--output-dir", default=None,
                         help="override the config's output directory")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        metavar="N",
-                        help="FFT worker count (default 1); numpy's FFT "
-                             "runs on one thread whatever N, and bundles "
-                             "are checked bit-identical at 1, 2 and 4")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true",
                            help="log relaxation and time-of-flight records")
@@ -102,7 +89,6 @@ def _run_checked(config: dict, output_dir: str | None):
 
 def cmd_run(args) -> int:
     _configure_logging(args)
-    set_fft_workers(args.threads)
     config = _load(args.config)
     result = _run_checked(config, args.output_dir)
     if not args.quiet:
@@ -120,7 +106,6 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _configure_logging(args)
-    set_fft_workers(args.threads)
     config = _load(args.config)
     if config["scenario"] != "resonance_sweep":
         print(f"sweep needs a resonance_sweep config, got "

@@ -80,7 +80,7 @@ def g2d_from_tf_radius(trap: TrapSpec, radius_y_m: float,
     if not 0.0 < radius_y_m < math.inf:
         raise SimulationError("target radius must be finite and positive")
     wy, wz = trap.omegas_internal(units)
-    if wy <= 0.0 or wz <= 0.0:
+    if not (wy > 0.0 and wz > 0.0):
         raise SimulationError("radius calibration needs a confining trap")
     mu = (radius_y_m / units.length_m * wy / 2.0) ** 2
     g = 2.0 * math.pi * mu * mu / (wy * wz)
@@ -103,7 +103,7 @@ def thomas_fermi_profile(trap: TrapSpec, g2d_j_m2: float,
         raise SimulationError(
             f"Thomas-Fermi profile needs a finite g2d > 0, got {g2d_j_m2}")
     wy, wz = trap.omegas_internal(units)
-    if wy <= 0.0 or wz <= 0.0:
+    if not (wy > 0.0 and wz > 0.0):
         raise SimulationError("Thomas-Fermi profile needs a confining trap")
     mu = _tf_mu_internal(g, wy, wz)
     density = np.maximum(0.0, mu - trap.potential_internal(grid)) / g
@@ -119,7 +119,7 @@ def gaussian_profile(trap: TrapSpec, grid: Grid2D) -> GroundState:
     """Non-interacting harmonic-oscillator ground state (relaxation seed)."""
     units = grid.units
     wy, wz = trap.omegas_internal(units)
-    if wy <= 0.0 or wz <= 0.0:
+    if not (wy > 0.0 and wz > 0.0):
         raise SimulationError("Gaussian seed needs a confining trap")
     psi = np.exp(-(wy * grid.mesh_y**2 + wz * grid.mesh_z**2) / 4.0)
     psi = psi.astype(np.complex128)

@@ -65,10 +65,13 @@ def oam_expectation(fld: TransverseField,
     integrand = np.conj(values) * ((grid.mesh_y - y0) * p_z
                                    - (grid.mesh_z - z0) * p_y)
     norm = float(np.sum(np.abs(values) ** 2))
-    if norm == 0.0:
-        raise SimulationError("cannot take <L_z> of an empty field")
+    # written as not (good range) so that NaN trips both checks
+    if not 0.0 < norm < math.inf:
+        raise SimulationError(
+            f"cannot take <L_z> of a field with norm {norm}: it is empty "
+            f"or holds NaN or inf")
     lz = complex(np.sum(integrand)) / norm
-    if abs(lz.imag) > IMAG_RESIDUAL_LIMIT:
+    if not abs(lz.imag) <= IMAG_RESIDUAL_LIMIT:
         raise SimulationError(
             f"<L_z> has imaginary residue {lz.imag:.3g}; field is not "
             f"resolved well enough to trust")
@@ -87,9 +90,10 @@ def vortex_report(fld: TransverseField, loop_radius_m: float
     _, samples = ring_samples(fld.values, grid, loop_radius_m, LOOP_SAMPLES)
     floor = DENSITY_FLOOR_FRACTION * float(np.abs(fld.values).max()) ** 2
     weakest = float(np.abs(samples).min()) ** 2
-    if weakest < floor:
+    # NaN or inf in the field makes floor or weakest NaN, or floor inf
+    if not weakest >= floor:
         raise DensityFloorError(
-            f"loop sample density {weakest:.3g} is below {floor:.3g} "
+            f"loop sample density {weakest:.3g} is not at least {floor:.3g} "
             f"(1e-6 of peak); the phase there is not trustworthy")
     phases = np.angle(samples)
     steps = np.diff(phases, append=phases[0])

@@ -21,22 +21,10 @@ from .units import UnitSystem
 
 DUMP_SCHEMA_VERSION = 1
 
-# Worker count set by --threads and set_fft_workers, and reported by the
-# benchmark.  numpy's FFT has no worker option, so every transform runs on
-# one thread whatever the count; bundles are checked byte-identical at 1,
-# 2 and 4.
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> None:
-    global _FFT_WORKERS
-    if n < 1:
-        raise ValueError("fft worker count must be >= 1")
-    _FFT_WORKERS = int(n)
-
-
 def fft_workers() -> int:
-    return _FFT_WORKERS
+    # numpy's FFT has no worker option: every transform runs on one
+    # thread.  perfbench/worker.py::_versions records this count.
+    return 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -218,14 +206,13 @@ class LadderState:
                      * self.grid.cell_area)
 
 
-def _density(values: np.ndarray, orders=None) -> np.ndarray:
-    """sum_n |values[n]|^2 over the given orders of a stack (all by
-    default), added one order at a time into one plane: bitwise
-    np.sum(np.abs(values[orders]) ** 2, axis=0), with no stack-sized
-    temporaries."""
+def _density(values: np.ndarray) -> np.ndarray:
+    """sum_n |values[n]|^2 over a stack, added one order at a time into
+    one plane: bitwise np.sum(np.abs(values) ** 2, axis=0), with no
+    stack-sized temporaries."""
     rho = np.zeros(values.shape[1:])
     term = np.empty_like(rho)
-    for n in range(len(values)) if orders is None else orders:
+    for n in range(len(values)):
         np.abs(values[n], out=term)
         np.square(term, out=term)
         rho += term

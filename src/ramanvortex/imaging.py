@@ -134,10 +134,12 @@ def _embed(state: LadderState, padded: Grid2D) -> np.ndarray:
 
 
 def _boundary_mass_fraction(state: LadderState) -> float:
+    # 0 for an empty state; NaN for one holding NaN or inf, which the
+    # caller's finite check rejects
     dens = state.total_density()
     total = dens.sum()
-    if total <= 0.0:
-        return 0.0
+    if not 0.0 < total < math.inf:
+        return 0.0 if total == 0.0 else math.nan
     edge = (dens[:2, :].sum() + dens[-2:, :].sum()
             + dens[2:-2, :2].sum() + dens[2:-2, -2:].sum())
     return float(edge / total)

@@ -127,7 +127,7 @@ def coupling_map(beam_a: BeamSpec, beam_b: BeamSpec, peak_rate_rad_s: float,
     u_b = mode_field(beam_b, grid).values
     product = u_a * np.conj(u_b)
     peak = np.abs(product).max()
-    if peak <= 0.0:
+    if not peak > 0.0:
         raise SimulationError("beam product vanishes on the whole grid")
     omega = product * (peak_rate_rad_s / peak * np.exp(1j * rel_phase))
     return CouplingMap(TransverseField(grid, omega))
@@ -181,7 +181,7 @@ def phase_readout_pattern(beam_lg: BeamSpec, beam_g_copropagating: BeamSpec,
     u_g = mode_field(beam_g_copropagating, grid).values
     intensity = np.abs(u_lg * np.exp(1j * rel_phase) + u_g) ** 2
     peak = intensity.max()
-    if peak <= 0.0:
+    if not peak > 0.0:
         raise SimulationError("degenerate beams: zero interference intensity")
     ring_radius_m = beam_lg.waist_m / math.sqrt(2.0)
     angle = _ring_lobe_angle(intensity, grid, ring_radius_m)

@@ -5,8 +5,8 @@ writes a deterministic bundle into the output directory: 16-bit PGM images
 with text sidecars, delimited tables (per-pulse populations, study and
 sweep tables), binary field dumps of the populated orders, the normalized
 config echo, and a key/value machine summary.  With a fixed config the
-bundle is bit-identical across runs, checked at 1, 2 and 4 FFT workers
-and at 1 and 2 BLAS threads.  Every scenario takes its pulses from
+bundle is bit-identical across runs, checked run to run and at 1 and 2
+BLAS threads.  Every scenario takes its pulses from
 ``ExperimentConfig.pulses``; the sweep and the phase study vary that
 sequence rather than rebuilding pulses.
 
@@ -240,7 +240,7 @@ def _tof_images(bundle: _Bundle, ctx: _Context, state: LadderState,
 def _support_radius_m(image: ImagePlane) -> float:
     radii, mean = radial_profile(image)
     peak = float(mean.max())
-    if peak <= 0.0:
+    if not peak > 0.0:
         raise SimulationError("empty image: no pattern support")
     inside = radii[mean >= PATTERN_SUPPORT_FLOOR * peak]
     return 1.1 * float(inside.max())

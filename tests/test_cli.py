@@ -70,6 +70,14 @@ class TestExitCodes:
         assert run_cli(["run", "-q", config]) == 3
         assert "TruncationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_retired_threads_flag_exits_2(self, tmp_path, capsys, command):
+        # numpy's FFT runs on one thread, so there is no worker count to set
+        config = write_config(tmp_path / "ok.json")
+        assert run_cli([command, "--threads", "2", config]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_echo_is_fully_defaulted_json(self, tmp_path, capsys):

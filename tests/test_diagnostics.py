@@ -16,7 +16,7 @@ from ramanvortex.diagnostics import (StudyResult, VortexReport,
                                      vortex_report)
 from ramanvortex.errors import (AmbiguousHoleError, ContrastError,
                                 DensityFloorError, SimulationError)
-from ramanvortex.grid import TransverseField
+from ramanvortex.grid import Grid2D, TransverseField
 from ramanvortex.imaging import ImagePlane, analytic_pattern
 from ramanvortex.optics import BeamSpec, mode_field
 from ramanvortex.scenarios import run_scenario
@@ -128,6 +128,29 @@ class TestOamExpectation:
         zeros = np.zeros(grid64.shape, dtype=complex)
         with pytest.raises(SimulationError):
             oam_expectation(TransverseField(grid64, zeros))
+
+
+def spoiled_vortex(units, bad):
+    """A winding-1 mode on a 32^2 grid with two values set to bad: one on
+    the 15 um loop that vortex_report samples, one far from it."""
+    grid = Grid2D(32, 32, 160.0e-6, 160.0e-6, units)
+    values = vortex_field(grid, 1).values.copy()
+    values[3, 5] = bad
+    values[16, 19] = bad
+    return TransverseField(grid, values)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1.0)],
+                         ids=["nan", "inf", "complex_inf"])
+class TestNonFiniteField:
+    def test_oam_expectation_raises(self, units, bad):
+        with pytest.raises(SimulationError, match="NaN or inf"):
+            oam_expectation(spoiled_vortex(units, bad))
+
+    def test_vortex_report_raises(self, units, bad):
+        with pytest.raises(DensityFloorError):
+            vortex_report(spoiled_vortex(units, bad), 15e-6)
 
 
 class TestHoleAngle:

@@ -12,7 +12,6 @@ import pytest
 
 from ramanvortex import config as config_module
 from ramanvortex import dynamics, scenarios
-from ramanvortex import grid as grid_module
 from ramanvortex.config import ExperimentConfig
 from ramanvortex.diagnostics import hole_angle, phase_correlation_study
 from ramanvortex.dynamics import run_sequence
@@ -121,22 +120,6 @@ class TestDeterminism:
             result = run_scenario(config)
             paths.append((Path(result.output_dir), result.artifacts))
         assert_same_bundle(*paths)
-
-    def test_fft_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # The FFT worker count does not reach the bundle, at the counts
-        # checked here; other counts are not covered.
-        paths = []
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(grid_module, "_FFT_WORKERS", workers)
-            config = small("single_vortex", [vortex_pulse(duration_s=1.5e-5)],
-                           tmp_path, grid={"points_y": 32, "points_z": 32})
-            config["output_dir"] = str(tmp_path / f"workers_{workers}")
-            config["imaging"] = {"time_of_flight_s": 2e-3,
-                                 "meanfield_window_s": 2e-4}
-            result = run_scenario(config)
-            paths.append((Path(result.output_dir), result.artifacts))
-        for other in paths[1:]:
-            assert_same_bundle(paths[0], other)
 
     def test_seed_changes_only_noisy_images(self, tmp_path):
         pulses = [vortex_pulse(duration_s=1.5e-5)]

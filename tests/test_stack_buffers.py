@@ -210,8 +210,6 @@ class TestSplitStepLoop:
                   + 1j * rng.standard_normal((5, 32, 64)))
         assert_identical(_density(values),
                          np.sum(np.abs(values) ** 2, axis=0))
-        assert_identical(_density(values, [0, 2, 3]),
-                         np.sum(np.abs(values[[0, 2, 3]]) ** 2, axis=0))
 
 
 class TestTimeOfFlight:
