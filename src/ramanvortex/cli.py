@@ -28,7 +28,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="override the config's output directory")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("-v", "--verbose", action="store_true",
-                           help="log relaxation and time-of-flight records")
+                           help="log one record per relaxation, pulse, delay "
+                                "and time of flight")
     verbosity.add_argument("-q", "--quiet", action="store_true",
                            help="only report errors")
 

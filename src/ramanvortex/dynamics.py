@@ -97,8 +97,8 @@ class PulseSpec:
 
 def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
     """Rotating-frame energies D_n / E_r for n = -n_max .. n_max."""
-    if n_max < 1:
-        raise SimulationError("n_max must be >= 1")
+    if not 1 <= n_max < math.inf:
+        raise SimulationError(f"n_max must be finite and >= 1, got {n_max}")
     n = np.arange(-n_max, n_max + 1, dtype=float)
     return 4.0 * n * n - n * delta_nu_recoils
 
@@ -148,24 +148,33 @@ def _resolve_steps(grid, rho_max: float, potential, g: float,
 # 128^2 (n_max 4) and 6.6-7.7 ms at 64^2.
 _LADDER_CHUNK = 128
 
-# Distinct values of s per table of the unitary build, which makes its
-# table and writes U in passes over this many values at a time, so the
-# table adds at most _TABLE_VALUES (2 n_max + 1)^2 complex numbers to U:
-# 3 MiB with n_max 3, 18 MiB with n_max 8.  Measured at 256^2 on a 2-core
-# x86-64 machine, rise of ru_maxrss over one build in units of U (49 MiB
-# with n_max 3, 289 MiB with n_max 8), on the LG x Gaussian coupling
-# (15544 distinct s) and on an off-centre winding-1 field (61336 distinct
-# s of 65536 points):
+# Bytes per table of the unitary build.  The build makes its table of
+# M(s) and writes U in passes over as many distinct s = |omega| / 2 as
+# this holds, so the table adds the same to U at every n_max: 1337 values
+# with n_max 3, 809 with 4, 226 with 8.  Measured on a 2-core x86-64
+# machine, one BLAS thread: the rise of ru_maxrss over one build in units
+# of U (a fresh process per entry), then the median time of 5 builds in
+# ms (the budgets interleaved in one process).  At 256^2 the benchmark's
+# LG x Gaussian coupling (centred, 15101 distinct |omega|) and a winding-1
+# field off every grid point (61336 of 65536 points); at 128^2 with
+# n_max 4 the three pulses of double_charge_128 (3929, 4002 and 1677).  U
+# is 49 MiB with n_max 3, 20 MiB at 128^2 and 289 MiB with n_max 8.
 #
-#   table values        2048  4096  8192  16384  one table
-#   centred, n_max 3    1.05  1.09  1.16   1.26   1.26
-#   off-centre, n_max 3 1.10  1.16  1.22   1.34   2.03
-#   n_max 8, 4096: 1.08 centred, 1.09 off-centre (one table: 1.25, 1.96)
+#   budget               512 KiB     1 MiB       2 MiB     4096 values
+#   centred, n_max 3     1.09  167   1.10  147   1.13  150   1.15  145
+#   off-centre, n_max 3  1.13  653   1.13  614   1.15  580   1.19  586
+#   128^2, pulse 1       1.15   89   1.25   83   1.29   78   1.44   77
+#   128^2, pulse 2       1.17   90   1.24   82   1.31   80   1.40   75
+#   128^2, readout       1.16   54   1.25   46   1.27   43   1.25   42
+#   centred, n_max 8     1.02 1309   1.03 1152   1.03 1018   1.09  919
+#   off-centre, n_max 8  1.02 3217   1.03 2724   1.03 2446   1.09 2404
 #
-# The sorted build this replaced rose by 0.99-1.05 U.  The number of
-# passes did not move the build time (medians of 5 builds, 2048 to one
-# table: 188-204 ms centred at 256^2, 42-46 ms at 128^2 with n_max 4).
-_TABLE_VALUES = 4096
+# "4096 values" is the count this budget replaced: 3.1 MiB with n_max 3,
+# 5.1 MiB with 4, 18 MiB with 8.  Smaller tables cost build time, as each
+# pass writes its points of U scattered over the grid.  1 MiB keeps that
+# to about 5 ms a build at n_max 4, where it takes 3.5 MB off the peak
+# RSS of double_charge_128; with n_max 8 the build takes 13-25% longer.
+_TABLE_BYTES = 1 << 20
 
 # Grid points per block of the in-place apply, so that the block's slice
 # of U, of the stack and the accumulator stay in cache.  Time of one apply
@@ -192,15 +201,16 @@ class _LadderPropagator:
 
     M depends on the point only through s, and centred beams repeat s
     bitwise over many points.  So eigh and M run once per distinct s, in
-    chunks of _LADDER_CHUNK values, into a table of _TABLE_VALUES distinct
-    s at most; each point whose s is in the table then takes its M from
-    it and its own winding, written in point order, and the next table
-    follows.  The arithmetic per point is that of a per-point eigh, so U
-    is the same bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B
-    per grid point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.  The
-    table, freed before the next, holds as many per distinct s: the whole
-    build, U included, raised ru_maxrss by 1.08-1.16 U in the 256^2 cases
-    measured by _TABLE_VALUES.
+    chunks of _LADDER_CHUNK values, into a table of _TABLE_BYTES at most;
+    each point whose s is in the table then takes its M from it and its
+    own winding, written in point order, and the next table follows.  The
+    arithmetic per point is that of a per-point eigh, so U is the same
+    bitwise.  U holds (2 n_max + 1)^2 complex numbers of 16 B per grid
+    point: 51 MB at 256^2 with n_max 3, 303 MB at n_max 8.  The table,
+    freed before the next, holds as many per distinct s: the whole build,
+    U included, raised ru_maxrss by 1.10-1.13 U at 256^2 with n_max 3,
+    1.24-1.25 U on the 128^2 pulses with n_max 4 and 1.03 U with n_max 8,
+    in the cases measured by _TABLE_BYTES.
 
     U is the largest array of a run and sets its peak memory: beside it a
     pulse holds only the input state and the one stack the split-step loop
@@ -216,8 +226,10 @@ class _LadderPropagator:
         s, inverse = np.unique(0.5 * np.abs(omega), return_inverse=True)
         # (dim, dim, n_pts): U[i, j] is one contiguous row over the points
         self.unitary = np.empty((dim, dim, omega.size), dtype=np.complex128)
-        for c in range(0, s.size, _TABLE_VALUES):
-            part = s[c:c + _TABLE_VALUES]
+        # distinct s per table, so that a table holds _TABLE_BYTES at most
+        per_table = _TABLE_BYTES // (16 * dim * dim)
+        for c in range(0, s.size, per_table):
+            part = s[c:c + per_table]
             # (dim, dim, part.size): M of each distinct s, built in chunks
             table = np.empty((dim, dim, part.size), dtype=np.complex128)
             for a in range(0, part.size, _LADDER_CHUNK):

@@ -160,8 +160,9 @@ class LadderState:
 
     def __init__(self, grid: Grid2D, n_max: int, values: np.ndarray | None = None,
                  axial_shift_m: dict[int, float] | None = None):
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # written as not (good range) so that NaN and inf trip it too
+        if not 1 <= n_max < math.inf:
+            raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
         self.grid = grid
         self.n_max = int(n_max)
         k = 2 * self.n_max + 1

@@ -449,9 +449,11 @@ def read_pgm(path: str) -> tuple[ImagePlane, dict[str, str]]:
                 f"{path}: malformed PGM header (size or maxval)") from None
         if maxval != 65535:
             raise SimulationError(f"{path}: expected 16-bit maxval, got {maxval}")
-        raw = np.frombuffer(f.read(rows * cols * 2), dtype=">u2")
-    if raw.size != rows * cols:
+        data = f.read(rows * cols * 2)
+    # checked on the bytes: an odd count is no array of 16-bit pixels
+    if len(data) != rows * cols * 2:
         raise SimulationError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=">u2")
     scale_keys = ("pitch_m", "min_value", "max_value")
     meta = read_sidecar(path, scale_keys)
     pitch, lo, hi = (sidecar_number(path, meta, key) for key in scale_keys)

@@ -63,8 +63,8 @@ def mode_field(beam: BeamSpec, grid: Grid2D) -> TransverseField:
     scaled so the largest magnitude on the grid is 1.
 
     A Gaussian wider than the grid is fine (uniform illumination limit),
-    but a vortex ring must fit inside the box or the mode has no peak to
-    normalize against.
+    but a vortex ring must fit inside the box, and must not vanish at
+    every grid point, or the mode has no peak to normalize against.
     """
     if beam.winding != 0:
         ring_m = beam.waist_m * math.sqrt(abs(beam.winding) / 2.0)
@@ -84,6 +84,11 @@ def mode_field(beam: BeamSpec, grid: Grid2D) -> TransverseField:
     else:
         values = envelope * np.exp(1j * beam.phase)
     peak = np.abs(values).max()
+    # a vortex ring far inside one pixel is zero at every grid point
+    if not peak > 0.0:
+        raise SimulationError(
+            f"vortex mode of waist {beam.waist_m:.3g} m vanishes on every "
+            f"grid point")
     return TransverseField(grid, values / peak)
 
 
@@ -176,13 +181,13 @@ def phase_readout_pattern(beam_lg: BeamSpec, beam_g_copropagating: BeamSpec,
     the vortex ring at phi = -rel_phase.  Returns the unit-peak image and
     that extracted lobe angle in (-pi, pi].
     """
+    if not math.isfinite(rel_phase):
+        raise SimulationError(f"relative phase {rel_phase} is not finite")
     pitch = _require_square_pixels(grid)
     u_lg = mode_field(beam_lg, grid).values
     u_g = mode_field(beam_g_copropagating, grid).values
     intensity = np.abs(u_lg * np.exp(1j * rel_phase) + u_g) ** 2
     peak = intensity.max()
-    if not peak > 0.0:
-        raise SimulationError("degenerate beams: zero interference intensity")
     ring_radius_m = beam_lg.waist_m / math.sqrt(2.0)
     angle = _ring_lobe_angle(intensity, grid, ring_radius_m)
     image = ImagePlane(intensity / peak, pitch, label="phase_readout")

@@ -404,6 +404,7 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     logger.info("running the interference readout pulse")
     final, read_log = run_sequence(state, pulses[last:], ctx.trap,
                                    ctx.g2d_j_m2)
+    del state  # nothing reads the pre-readout state again
     bundle.add_text("populations.tsv",
                     _populations_table(log + read_log, ctx.cfg.n_max))
     _add_populations(summary, final)
@@ -468,6 +469,7 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
                                           ctx.g2d_j_m2)
     orders = np.arange(-cfg.n_max, cfg.n_max + 1)
     logger.info("running %d phase trials", n_trials)
+    summary = _base_summary(ctx)
     holes, readouts = [], []
     for trial, phase in enumerate(phases):
         turn = np.exp(1j * orders * (phase - phases[0]))[:, None, None]
@@ -479,8 +481,11 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
             lg, emit, phase, ctx.grid)
         readouts.append(readout_angle)
         if trial == 0:
-            imaged, imaged_log = state, imprint_log + log
-            imaged_readout = readout_image
+            # of the imaged trial's state only the populations are read
+            _add_populations(summary, state)
+            imaged_log, imaged_readout = imprint_log + log, readout_image
+        # no trial runs beside the states of the one before
+        del start, state
 
     result = phase_correlation_study(
         phases, holes, readouts,
@@ -493,8 +498,6 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
                     _populations_table(imaged_log, cfg.n_max))
     bundle.add_image("hole_image.pgm", holes[0])
 
-    summary = _base_summary(ctx)
-    _add_populations(summary, imaged)
     summary["n_trials"] = n_trials
     summary["slope"] = result.slope
     summary["intercept_rad"] = result.intercept_rad

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+# the opt-in --guard-reach option (see guard_reach.py)
+from guard_reach import pytest_addoption, pytest_configure  # noqa: F401
 
 from ramanvortex.units import (PhysicalParams, make_recoil_units,
                                SODIUM_MASS_KG, SODIUM_WAVELENGTH_M)

@@ -9,6 +9,7 @@ and the winding they imprint.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,18 @@ class TestLadderPropagator:
         assert np.max(np.abs(product - np.eye(dim)[:, :, None])) < 1e-13
 
 
+def off_centre_coupling(grid):
+    """A winding-1 field about (7.3, -4.1) um, off every grid point, so
+    that almost no two points share |omega|: 3899 distinct of 4096 at
+    64^2."""
+    y = grid.mesh_y - 7.3e-6 / grid.units.length_m
+    z = grid.mesh_z + 4.1e-6 / grid.units.length_m
+    w = 85e-6 / grid.units.length_m
+    return CouplingMap(TransverseField(
+        grid, 2.0e5 * (y + 1j * z) / w * np.exp(-(y * y + z * z) / w**2
+                                                 + 0.7j)))
+
+
 def reference_ladder_unitary(coupling, delta_recoils, n_max, dt, units):
     """The ladder unitary as built before the sort by |omega|: one eigh
     per grid point, over blocks of 256 points in grid order."""
@@ -276,31 +289,26 @@ class TestLadderPropagatorAgainstReference:
     N_MAX = 3
     DT = 0.1
 
-    # table: distinct |omega| per table of the build, None for the
-    # default; 300 splits the 64^2 couplings over several tables, each
-    # ending in a part-filled eigh chunk
+    # table: bytes per table of the build, None for the default; 300
+    # matrices of 9 x 9 split the 64^2 couplings over several tables,
+    # each ending in a part-filled eigh chunk
     @pytest.mark.parametrize("points, case, n_max, table", [
         (32, "centred", 3, None), (64, "centred", 3, None),
-        (64, "centred", 4, 300), (128, "centred", 3, None),
-        (64, "off_centre", 3, None), (64, "off_centre", 4, 300),
+        (64, "centred", 4, 300 * 81 * 16), (128, "centred", 3, None),
+        (64, "off_centre", 3, None), (64, "off_centre", 4, 300 * 81 * 16),
         (32, "uniform", 3, None)])
     def test_build_matches_the_per_point_reference(self, units, monkeypatch,
                                                    points, case, n_max,
                                                    table):
         if table is not None:
-            assert table % dynamics._LADDER_CHUNK
-            monkeypatch.setattr(dynamics, "_TABLE_VALUES", table)
+            values = table // (16 * (2 * n_max + 1) ** 2)
+            assert values % dynamics._LADDER_CHUNK
+            monkeypatch.setattr(dynamics, "_TABLE_BYTES", table)
         grid = Grid2D(points, points, 160e-6, 160e-6, units)
         if case == "centred":
             coupling = lg_g_coupling(grid, 2.0e5, rel_phase=0.7)
         elif case == "off_centre":
-            # a winding-1 field about (7.3, -4.1) um, off every grid point
-            y = grid.mesh_y - 7.3e-6 / grid.units.length_m
-            z = grid.mesh_z + 4.1e-6 / grid.units.length_m
-            w = 85e-6 / grid.units.length_m
-            coupling = CouplingMap(TransverseField(
-                grid, 2.0e5 * (y + 1j * z) / w * np.exp(-(y * y + z * z)
-                                                         / w**2 + 0.7j)))
+            coupling = off_centre_coupling(grid)
         else:
             coupling = uniform_coupling(2.0e5, grid)
         s = np.abs(coupling.omega.values)
@@ -309,7 +317,7 @@ class TestLadderPropagatorAgainstReference:
         distinct = np.unique(s).size
         assert {"centred": distinct < s.size / 3, "uniform": distinct == 1,
                 "off_centre": distinct > s.size / 2}[case]
-        assert table is None or distinct > 2 * table
+        assert table is None or distinct > 2 * values
         deltas = detuning_ladder(4.0, n_max)
         prop = dynamics._LadderPropagator(coupling, deltas, n_max, self.DT,
                                           units)
@@ -336,6 +344,28 @@ class TestLadderPropagatorAgainstReference:
         out = prop.apply(flat, phase)
         assert out is flat
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n_max", [4, 8])
+    def test_build_holds_U_and_one_table_at_most(self, units, n_max):
+        # 3899 distinct |omega| at 64^2: a table of one matrix per value
+        # would hold 4.8 MiB beside a 5.1 MiB U at n_max 4, and 17.2 MiB
+        # beside 18.1 MiB at n_max 8
+        grid = Grid2D(64, 64, 160e-6, 160e-6, units)
+        coupling = off_centre_coupling(grid)
+        deltas = detuning_ladder(4.0, n_max)
+        tracemalloc.start()
+        try:
+            prop = dynamics._LadderPropagator(coupling, deltas, n_max,
+                                              self.DT, units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = prop._acc.nbytes + prop._term.nbytes
+        # slack: the eigh chunk's temporaries and the per-point index
+        # arrays, 0.07 MiB at n_max 4 and 0.87 MiB at n_max 8
+        slack = 1.5 * 2**20
+        extra = peak - prop.unitary.nbytes - buffers
+        assert extra <= dynamics._TABLE_BYTES + slack, extra / 2**20
 
 
 class TestConservation:

@@ -21,6 +21,13 @@ Strang step is symmetric and its position step keeps each point's total
 density, so forward and back see the same mean-field phase; a first-order
 (Lie) splitting conserves the norm as well but fails the echo.  The delay
 echoes the same way.
+
+The grid keeps two point symmetries of the plane, taken about the grid
+origin, where index i maps to -i mod N (not N - 1 - i): the mirror
+y -> -y, which keeps the trap and turns a coupling of winding l into one
+of winding -l, and, on a square grid in an isotropic trap, the quarter
+turn.  Mirroring or turning the state and the coupling then mirrors or
+turns the pulse's result, to rounding.
 """
 
 import math
@@ -41,6 +48,7 @@ DURATION_S = 20e-6
 DT_S = 1.5e-7
 TOLERANCE = 1e-12
 TRAP = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
+ISOTROPIC_TRAP = TrapSpec(40.0, 40.0)
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None,
                              derandomize=True, database=None)
@@ -66,10 +74,16 @@ def g2d(units):
     return g2d_from_tf_radius(TRAP, 30e-6, units)
 
 
-def packet(grid, weights) -> LadderState:
-    """Gaussian packet spread over orders -1, 0, +1, unit norm."""
+def packet(grid, weights, offset=0.0) -> LadderState:
+    """Gaussian packet spread over orders -1, 0, +1, unit norm.  A nonzero
+    offset moves it off the axis by (offset, -0.6 offset) widths and gives
+    it a phase gradient along y, so that no mirror or turn keeps it."""
     sigma = 6e-6 / grid.units.length_m
-    profile = np.exp(-(grid.mesh_y**2 + grid.mesh_z**2) / (2.0 * sigma**2))
+    y = grid.mesh_y - offset * sigma
+    z = grid.mesh_z + 0.6 * offset * sigma
+    profile = np.exp(-(y**2 + z**2) / (2.0 * sigma**2))
+    if offset:
+        profile = profile * np.exp(1j * offset * grid.mesh_y / sigma)
     state = LadderState(grid, N_MAX)
     for n, (amp, arg) in zip((-1, 0, 1), weights):
         state.values[state.index(n)] = amp * np.exp(1j * arg) * profile
@@ -95,6 +109,22 @@ def distance(a: LadderState, b: np.ndarray) -> float:
     """L2 distance of two order stacks in the state norm."""
     return math.sqrt(float(np.sum(np.abs(a.values - b) ** 2))
                      * a.grid.cell_area)
+
+
+def mirror_y(values: np.ndarray) -> np.ndarray:
+    """values at y -> -y: index i to -i mod N along the last (y) axis."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
+
+
+def quarter_turn(values: np.ndarray) -> np.ndarray:
+    """values turned by 90 degrees about the origin of a square grid:
+    psi'(y, z) = psi(z, -y)."""
+    return mirror_y(np.swapaxes(values, -1, -2))
+
+
+def mapped(coupling: CouplingMap, symmetry) -> CouplingMap:
+    grid = coupling.omega.grid
+    return CouplingMap(TransverseField(grid, symmetry(coupling.omega.values)))
 
 
 def order_phases(n_max, phi) -> np.ndarray:
@@ -183,3 +213,38 @@ def test_delay_echoes_under_time_reversal(grids, g2d, n, w, trap_on):
     back = evolve_free(reversed_state(out), DURATION_S, trap, g2d)
     assert distance(out, state.values) > 0.1
     assert distance(back, np.conj(state.values)) <= TOLERANCE
+
+
+@PROPERTY_SETTINGS
+@given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
+def test_mirror_maps_the_pulse_to_the_opposite_winding(grids, g2d, n, rate,
+                                                       delta, phi, w):
+    grid = grids[n]
+    state = packet(grid, w, offset=0.7)
+    coupling = vortex_coupling(grid, rate, phi)
+    out = evolve_pulse(state, PulseSpec(coupling, delta, DURATION_S),
+                       TRAP, g2d)
+    mirrored = LadderState(grid, N_MAX, mirror_y(state.values))
+    out_mirrored = evolve_pulse(
+        mirrored, PulseSpec(mapped(coupling, mirror_y), delta, DURATION_S),
+        TRAP, g2d)
+    assert distance(mirrored, state.values) > 0.1
+    assert distance(out_mirrored, mirror_y(out.values)) <= TOLERANCE
+
+
+@PROPERTY_SETTINGS
+@given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
+def test_quarter_turn_of_state_and_coupling_turns_the_pulse(grids, g2d, n,
+                                                            rate, delta, phi,
+                                                            w):
+    grid = grids[n]
+    state = packet(grid, w, offset=0.7)
+    coupling = vortex_coupling(grid, rate, phi)
+    out = evolve_pulse(state, PulseSpec(coupling, delta, DURATION_S),
+                       ISOTROPIC_TRAP, g2d)
+    turned = LadderState(grid, N_MAX, quarter_turn(state.values))
+    out_turned = evolve_pulse(
+        turned, PulseSpec(mapped(coupling, quarter_turn), delta, DURATION_S),
+        ISOTROPIC_TRAP, g2d)
+    assert distance(turned, state.values) > 0.1
+    assert distance(out_turned, quarter_turn(out.values)) <= TOLERANCE

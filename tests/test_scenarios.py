@@ -260,6 +260,30 @@ class TestDoubleCharge:
         assert len(flights) == 2
         assert alive_at_readout == [False]
 
+    def test_pre_readout_state_is_released_before_the_last_flight(
+            self, tmp_path, monkeypatch):
+        # once the readout pulse has run, nothing reads the state it
+        # started from, so the final flight must not run beside it
+        states, alive_at_flight = [], []
+        flight = scenarios.time_of_flight
+        sequence = scenarios.run_sequence
+
+        def tracking_sequence(*args, **kwargs):
+            state, log = sequence(*args, **kwargs)
+            states.append(weakref.ref(state))
+            return state, log
+
+        def checking_flight(*args, **kwargs):
+            gc.collect()
+            alive_at_flight.append(states[0]() is not None)
+            return flight(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_sequence", tracking_sequence)
+        monkeypatch.setattr(scenarios, "time_of_flight", checking_flight)
+        run_scenario(self.flown_config(tmp_path))
+        assert len(states) == 2
+        assert alive_at_flight == [True, False]
+
     def test_readout_runs_the_configured_sequence(self, tmp_path):
         # a trap-off pulse with a delay before the readout: the delay
         # follows trap_on, and the readout is the sequence's third row

@@ -270,3 +270,49 @@ class TestTimeOfFlight:
             tracemalloc.stop()
         # the earlier copies of the padded stack peaked at 3.5 stacks
         assert peak <= 2.5 * stack_bytes, peak / stack_bytes
+
+
+class TestPhaseStudy:
+    def test_trials_hold_no_earlier_trial_state(self, tmp_path, monkeypatch):
+        # A 32^2 phase study of three trials.  Each trial needs only the
+        # imprinted state and its own start, so what is held when a trial
+        # begins, and its peak, must not grow from trial to trial: trial
+        # 0's final state or the previous trial's would add a whole stack.
+        cfg = ExperimentConfig.from_mapping({
+            "schema_version": 1,
+            "scenario": "phase_coherence",
+            "output_dir": str(tmp_path / "study"),
+            "grid": {"points_y": 32, "points_z": 32, "n_max": 3},
+            "beams": {"lg": {"kind": "lg", "waist_m": 8.5e-5, "winding": 1},
+                      "g": {"kind": "gaussian", "waist_m": 1.75e-4},
+                      "top": {"kind": "gaussian", "waist_m": 2.0e-4}},
+            "pulses": [{"absorb": "lg", "emit": "g",
+                        "rabi_rate_rad_s": 7.3e4, "detuning_recoils": 4.0,
+                        "duration_s": 3.0e-5},
+                       {"absorb": "top", "emit": "g",
+                        "rabi_rate_rad_s": 7.0e4, "detuning_recoils": 4.0,
+                        "duration_s": 1.5e-5}],
+            "study": {"n_trials": 3},
+            "imaging": {"time_of_flight_s": 0.0}})
+        stack_bytes = 7 * 32 * 32 * 16
+        held, peaks = [], []
+        sequence = scenarios.run_sequence
+
+        def measured(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            out = sequence(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(scenarios, "run_sequence", measured)
+        tracemalloc.start()
+        try:
+            scenarios.run_scenario(cfg)
+        finally:
+            tracemalloc.stop()
+        # the imprint pulse, then one sequence per trial
+        assert len(held) == 4
+        for k in (2, 3):
+            assert held[k] - held[1] <= 0.5 * stack_bytes, k
+            assert peaks[k] - peaks[1] <= 0.5 * stack_bytes, k
