@@ -99,6 +99,8 @@ def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
     """Rotating-frame energies D_n / E_r for n = -n_max .. n_max."""
     if not 1 <= n_max < math.inf:
         raise SimulationError(f"n_max must be finite and >= 1, got {n_max}")
+    if n_max != int(n_max):
+        raise SimulationError(f"n_max must be an integer, got {n_max}")
     n = np.arange(-n_max, n_max + 1, dtype=float)
     return 4.0 * n * n - n * delta_nu_recoils
 

@@ -163,6 +163,8 @@ class LadderState:
         # written as not (good range) so that NaN and inf trip it too
         if not 1 <= n_max < math.inf:
             raise ValueError(f"n_max must be finite and >= 1, got {n_max}")
+        if n_max != int(n_max):
+            raise ValueError(f"n_max must be an integer, got {n_max}")
         self.grid = grid
         self.n_max = int(n_max)
         k = 2 * self.n_max + 1

@@ -9,14 +9,17 @@ SI oracles, independent of the internal unit system:
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
+from ramanvortex import condensate
 from ramanvortex.errors import (ConvergenceError, SimulationError,
                                 StepSizeError)
 from ramanvortex.condensate import (GroundState, TrapSpec, _tf_radii_m,
@@ -268,29 +271,38 @@ def reference_relax_ground_state(seed, trap, g2d_j_m2, dt_s=2e-6, tol=1e-9,
                        _tf_radii_m(mu, wy, wz, units))
 
 
+REFERENCE_CASES = ["thomas_fermi", "gaussian_g0", "complex_seed",
+                   "grid_64x32", "grid_32x64"]
+
+
+def _reference_case(case, trap, g2d, grid64, units):
+    """Seed, g2d and dt_s of one of REFERENCE_CASES."""
+    grid = {"grid_64x32": Grid2D(64, 32, 160e-6, 80e-6, units),
+            "grid_32x64": Grid2D(32, 64, 80e-6, 160e-6, units),
+            }.get(case, grid64)
+    seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid), g2d, 2e-6
+    if case == "gaussian_g0":
+        seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid)
+        g, dt_s = 0.0, 3e-6
+    elif case == "complex_seed":
+        # a global phase and a gentle ramp along y; a steep ramp puts
+        # weight in the dipole mode, which the flow damps only at the
+        # trap frequency, too slowly to reach tol in max_steps
+        ramp = np.exp(1j * (0.3 + 0.01 * grid.y_m[None, :] / RADIUS_Y))
+        seed = GroundState(TransverseField(grid, seed.field.values * ramp),
+                           seed.chemical_potential_j, seed.tf_radii_m)
+    return seed, g, dt_s
+
+
 class TestRelaxationMatchesReference:
     """The real-row loop against the complex-arithmetic reference: a real
     seed is one row, a complex one two, and the half spectrum runs along
     y, so non-square grids check that its axis is the right one."""
 
-    @pytest.mark.parametrize("case", ["thomas_fermi", "gaussian_g0",
-                                      "complex_seed", "grid_64x32",
-                                      "grid_32x64"])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_same_steps_and_state(self, case, trap, g2d, grid64, units):
-        grid = {"grid_64x32": Grid2D(64, 32, 160e-6, 80e-6, units),
-                "grid_32x64": Grid2D(32, 64, 80e-6, 160e-6, units),
-                }.get(case, grid64)
-        seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid), g2d, 2e-6
-        if case == "gaussian_g0":
-            seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid)
-            g, dt_s = 0.0, 3e-6
-        elif case == "complex_seed":
-            # a global phase and a gentle ramp along y; a steep ramp puts
-            # weight in the dipole mode, which the flow damps only at the
-            # trap frequency, too slowly to reach tol in max_steps
-            ramp = np.exp(1j * (0.3 + 0.01 * grid.y_m[None, :] / RADIUS_Y))
-            seed = GroundState(TransverseField(grid, seed.field.values * ramp),
-                               seed.chemical_potential_j, seed.tf_radii_m)
+        seed, g, dt_s = _reference_case(case, trap, g2d, grid64, units)
+        grid = seed.field.grid
         log, reference_log = [], []
         out = relax_ground_state(seed, trap, g, dt_s=dt_s, energy_log=log)
         reference = reference_relax_ground_state(seed, trap, g, dt_s=dt_s,
@@ -312,6 +324,116 @@ class TestRelaxationMatchesReference:
             field.values, trap.potential_internal(grid64), g, grid64)
         assert gpe_energy(field, trap, g2d) == pytest.approx(
             units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)
+
+
+def _relax_with_record(seed, trap, g, dt_s, caplog, **kwargs):
+    """The relaxed state and the parts of its DEBUG record: step count,
+    energies read, and the change against tol."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ramanvortex.condensate"):
+        out = relax_ground_state(seed, trap, g, dt_s=dt_s, **kwargs)
+    (record,) = caplog.records
+    steps, reads, rest = re.fullmatch(
+        r"ground state relaxed in (\d+) steps \(energy read at (\d+)\): "
+        r"(relative energy change .* < tol .*)", record.getMessage()).groups()
+    return out, int(steps), int(reads), rest
+
+
+class TestStopCheckedEveryKSteps:
+    """The stop test reads the energy every _STOP_CHECK_EVERY steps and
+    searches the last window for the first step under tol; an energy_log
+    makes it read every step.  Both must give the same state, bit for
+    bit, the same step count and the same change against tol."""
+
+    @pytest.fixture(scope="class")
+    def every_step(self):
+        # case -> (state, steps, reads, rest) read at every step
+        return {}
+
+    @pytest.mark.parametrize("every", [8, 16])
+    @pytest.mark.parametrize("case", REFERENCE_CASES + ["grid_128"])
+    def test_same_state_steps_and_record_as_every_step(
+            self, case, every, every_step, trap, g2d, grid64, grid128,
+            units, caplog, monkeypatch):
+        if case == "grid_128":
+            # double_charge_128's ground state: 2104 steps, on a check at
+            # every 8 (2104 = 263 * 8), in the middle of a window at 16
+            seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid128), g2d, 2e-6
+        else:
+            seed, g, dt_s = _reference_case(case, trap, g2d, grid64, units)
+        if case not in every_step:
+            log = []
+            every_step[case] = _relax_with_record(seed, trap, g, dt_s, caplog,
+                                                  energy_log=log)
+            assert every_step[case][1] == len(log)
+        expected, steps, reads, rest = every_step[case]
+        assert reads == steps + 1
+        if case == "grid_128":
+            assert steps == 2104
+
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", every)
+        out, out_steps, out_reads, out_rest = _relax_with_record(
+            seed, trap, g, dt_s, caplog)
+        assert np.array_equal(out.field.values, expected.field.values)
+        assert out.chemical_potential_j == expected.chemical_potential_j
+        assert out.tf_radii_m == expected.tf_radii_m
+        assert (out_steps, out_rest) == (steps, rest)
+        # the two steps of each check, the seed, and one window's search
+        assert out_reads <= 2 * (steps // every + 1) + every + 1
+
+    @pytest.mark.parametrize("every", [8, 16])
+    def test_budget_off_the_cadence_names_the_last_change(
+            self, every, trap, g2d, units, monkeypatch):
+        grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
+        seed = thomas_fermi_profile(trap, g2d, grid32)
+        max_steps = 21
+        assert max_steps % every
+        log = []
+        with pytest.raises(ConvergenceError) as every_step:
+            relax_ground_state(seed, trap, g2d, max_steps=max_steps,
+                               energy_log=log)
+        change = abs(log[-1] - log[-2]) / abs(log[-1])
+        assert f"last relative energy change {change:.3g}" in str(
+            every_step.value)
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", every)
+        with pytest.raises(ConvergenceError) as checked:
+            relax_ground_state(seed, trap, g2d, max_steps=max_steps)
+        assert str(checked.value) == str(every_step.value)
+
+    def test_holds_one_ring_of_k_half_spectra_and_a_stated_slack(
+            self, trap, g2d, grid128, monkeypatch):
+        # Measured at 128^2, K = 16, in half spectra of one real row
+        # (133 kB): the peak is K + 11.9 (10.9 at K = 1, the loop before
+        # the ring).  When the first check reads its energies the loop
+        # holds 5.0 beside the ring: the trap, the half plane's weights
+        # and kinetic factors, the two kinetic steps and the step's
+        # spectrum.  The window's states kept as K arrays of their own
+        # hold the same bytes, but read 21.0 there.
+        seed = thomas_fermi_profile(trap, g2d, grid128)
+        half = 16 * grid128.n_z * (grid128.n_y // 2 + 1)
+        every = condensate._STOP_CHECK_EVERY
+        energies = condensate._energies
+        beside_ring = []
+
+        def spy(*args):
+            # the second read is the first check's: the ring is full
+            beside_ring.append(sum(
+                b.size for b in tracemalloc.take_snapshot().traces
+                if b.size < every * half) if len(beside_ring) == 1 else None)
+            return energies(*args)
+
+        tracemalloc.start()
+        try:
+            relax_ground_state(seed, trap, g2d)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(condensate, "_energies", spy)
+            relax_ground_state(seed, trap, g2d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (every + 12.5) * half, peak / half
+        assert beside_ring[1] <= 7 * half, beside_ring[1] / half
 
 
 # Relaxes a 128^2 Thomas-Fermi seed and prints a digest of the result and,

@@ -174,6 +174,23 @@ def test_ladder_state_needs_a_finite_n_max_of_one_or_more(bad, units):
         detuning_ladder(4.0, bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.5, 3.0 + 1e-12])
+def test_ladder_state_needs_an_integer_n_max(bad, units):
+    # int() would truncate 2.5 to an n_max 2 ladder, and the detuning
+    # ladder would hold 6 energies at half-integer orders
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        LadderState(_grid32(units), bad)
+    with pytest.raises(SimulationError, match="n_max must be an integer"):
+        detuning_ladder(4.0, bad)
+
+
+@pytest.mark.parametrize("n_max", [np.int64(2), np.int32(2), 2.0])
+def test_ladder_state_takes_a_numpy_or_whole_float_n_max(n_max, units):
+    assert LadderState(_grid32(units), n_max).values.shape[0] == 5
+    assert np.array_equal(detuning_ladder(4.0, n_max),
+                          detuning_ladder(4.0, 2))
+
+
 def test_ladder_state_values_must_match_the_grid(units):
     with pytest.raises(SimulationError, match="does not match"):
         LadderState(_grid32(units), 1, np.zeros((3, 16, 16), dtype=complex))
