@@ -15,7 +15,10 @@ rows (_real_rows) through half-spectrum FFTs and becomes complex again only
 at the final phase fix.  _energies is the one energy formula, read from
 the rows' half spectrum and shared with gpe_energy.  The stop test reads
 the energy every _STOP_CHECK_EVERY (K) steps, from a ring of the window's
-spectra, so N steps cost about 2 N (1 + 1/K) real FFTs.
+spectra, so N steps cost about 2 N (1 + 1/K) real FFTs.  N counts the
+steps run, not the step that stops: the flow runs on to the end of the
+window of K in which it stops, up to K - 1 steps past it (2112 steps for
+the stop at 2104 on double_charge_128's 128^2 grid).
 """
 
 from __future__ import annotations
@@ -220,7 +223,10 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
     half-stepped spectrum, the energy (kinetic from the spectrum, the rest
     after one inverse FFT) only where the stop test needs it, so N steps
     cost 2 N + 1 real FFTs plus one per energy read: 2 N / K at the
-    checks and at most K in the window that stops.
+    checks and at most K in the window that stops.  N is the end of that
+    window (or max_steps), up to K - 1 steps past the step that stops:
+    on double_charge_128's 128^2 grid the stop at 2104 runs 2112 steps,
+    1 + 2 x 2112 + 273 = 4498 real FFTs.
 
     Stops at the first step whose relative energy change falls below tol.
     The energy is read every _STOP_CHECK_EVERY steps (K), at the last two
@@ -237,7 +243,17 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
     Nyquist) must lie in (0, 1/2).  A state holding NaN or inf, the seed
     included, raises SimulationError at once.  energy_log, if given,
     collects the per-step energies (internal units); K is then 1.
+    max_steps must be an integer >= 1 and tol finite and >= 0, or
+    SimulationError is raised before the first step: a budget the step
+    count never equals would let a flow that does not converge run
+    forever, and tol = inf would stop it at the first check.
     """
+    # written as not (a <= x < b) so that NaN trips both guards
+    if not 1 <= max_steps < math.inf or max_steps != int(max_steps):
+        raise SimulationError(
+            f"max_steps must be an integer >= 1, got {max_steps}")
+    if not 0.0 <= tol < math.inf:
+        raise SimulationError(f"tol must be finite and >= 0, got {tol}")
     grid = seed.field.grid
     units = grid.units
     g = units.coupling2d_to_internal(g2d_j_m2)

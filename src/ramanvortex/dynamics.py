@@ -142,12 +142,26 @@ def _resolve_steps(grid, rho_max: float, potential, g: float,
 
 
 # Distinct values of s = |omega| / 2 per eigh call of the unitary build.
-# Measured peak RSS of benchmark runs (perfbench/worker.py, seed 1) on a
-# 2-core x86-64 machine, chunks of 64 / 128 / 256 / 4096: phase_scan_64
-# (64^2) 44.1 / 44.4 / 44.0 / 44.6 MB, double_charge_128 87.8 / 87.8 /
-# 87.3 / 91.0 MB, vortex_256 111.3 / 111.3 / 109.2 / 119.3 MB.  The build
-# time does not move from 64 to 512: 102-109 ms at 256^2, 36-39 ms at
-# 128^2 (n_max 4) and 6.6-7.7 ms at 64^2.
+# Measured on the benchmark's pulses (perfbench/workloads.py, seed 1) on a
+# 2-core x86-64 machine, one BLAS thread, a fresh process per entry: the
+# rise of ru_maxrss over one build (the larger of two runs) and its
+# tracemalloc peak, both in units of U, then the median time of 5 builds
+# in ms (the faster of two runs).  vortex_256's coupling has U = 49 MiB
+# and 15101 distinct s; double_charge_128's three pulses U = 20.25 MiB
+# and 3929, 4002 and 1677; phase_scan_64's pulse 0 U = 3.06 MiB and 1031.
+# "table" is one eigh per table of _TABLE_BYTES.
+#
+#   chunk               64             128            256            table
+#   vortex_256      1.03 1.08 116  1.02 1.08 115  1.02 1.08 116  1.14 1.17 118
+#   128^2, pulse 1  1.13 1.15  40  1.13 1.15  39  1.19 1.18  40  1.40 1.35  40
+#   128^2, pulse 2  1.14 1.14  41  1.14 1.14  41  1.20 1.18  43  1.41 1.35  40
+#   128^2, readout  1.20 1.16  23  1.20 1.16  24  1.20 1.18  24  1.34 1.35  24
+#   64^2, pulse 0   1.91 1.64 6.9  1.93 1.67 6.5  1.89 1.67 6.5  2.59 2.47 8.9
+#
+# U is the same bitwise in every entry.  The chunk level buys no time, but
+# against one eigh per table 128 keeps 0.11-0.27 U off every build: 2.8-5.5
+# MiB on the 128^2 builds, which set double_charge_128's peak, and 5.6 MiB
+# at 256^2.  256 gives back up to 0.06 U of that at 128^2.
 _LADDER_CHUNK = 128
 
 # Bytes per table of the unitary build.  The build makes its table of

@@ -6,9 +6,13 @@ with text sidecars, delimited tables (per-pulse populations, study and
 sweep tables), binary field dumps of the populated orders, the normalized
 config echo, and a key/value machine summary.  With a fixed config the
 bundle is bit-identical across runs, checked run to run and at 1 and 2
-BLAS threads.  Every scenario takes its pulses from
-``ExperimentConfig.pulses``; the sweep and the phase study vary that
-sequence rather than rebuilding pulses.
+BLAS threads.  Every scenario starts from the prepared ground state on
+order 0 and writes its image, ``ground_density.pgm``, first after the
+config echo; ``run_scenario`` writes the summary's six-key header and the
+scenario adds its own keys after it.  The pulses come from
+``ExperimentConfig.pulses``, built once when the run is prepared; the
+sweep and the phase study vary that sequence rather than rebuilding
+pulses.
 
 Scenario shapes:
   single_vortex    pulse sequence, vortex diagnostics on order +1, TOF.
@@ -51,7 +55,7 @@ from .condensate import GroundState, TrapSpec
 from .config import ExperimentConfig, dumps
 from .diagnostics import (oam_expectation, phase_correlation_study,
                           vortex_report)
-from .dynamics import run_sequence
+from .dynamics import PulseSpec, run_sequence
 from .errors import SimulationError
 from .grid import Grid2D, LadderState, save_field, write_sidecar
 from .imaging import (ImagePlane, absorption_image, analytic_pattern,
@@ -127,6 +131,7 @@ class _Context:
     trap: TrapSpec
     g2d_j_m2: float
     ground: GroundState
+    pulses: tuple[PulseSpec, ...]
 
     @property
     def imaging(self) -> Mapping:
@@ -169,7 +174,7 @@ def _prepare(cfg: ExperimentConfig) -> _Context:
     logger.info("preparing %s ground state on %dx%d grid",
                 cfg.data["condensate"]["profile"], grid.n_y, grid.n_z)
     ground = cfg.ground_state(grid)
-    return _Context(cfg, units, grid, trap, g2d, ground)
+    return _Context(cfg, units, grid, trap, g2d, ground, cfg.pulses(grid))
 
 
 def _format_value(value) -> str:
@@ -320,33 +325,27 @@ def _azimuthal_minima(image: ImagePlane, annulus_m: tuple[float, float]
     return [float(angles[i]) for i in order]
 
 
-def _base_summary(ctx: _Context) -> dict:
-    return {
-        "scenario": ctx.cfg.scenario,
-        "schema_version": ctx.cfg.data["schema_version"],
-        "seed": ctx.cfg.seed,
-        "chemical_potential_j": ctx.ground.chemical_potential_j,
-        "tf_radius_y_m": ctx.ground.tf_radii_m[0],
-        "tf_radius_z_m": ctx.ground.tf_radii_m[1],
-    }
-
-
-def _run_pulse_pipeline(ctx: _Context, bundle: _Bundle
-                        ) -> tuple[LadderState, list[dict]]:
-    pulses = ctx.cfg.pulses(ctx.grid)
+def _start(ctx: _Context, bundle: _Bundle) -> LadderState:
+    """The ground state on order 0, every scenario's start; its image is
+    the bundle's first after the config echo."""
     state = ctx.initial_state()
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
-    logger.info("running %d pulse(s)", len(pulses))
-    state, log = run_sequence(state, pulses, ctx.trap, ctx.g2d_j_m2)
+    return state
+
+
+def _run_pulse_pipeline(ctx: _Context, bundle: _Bundle) -> LadderState:
+    logger.info("running %d pulse(s)", len(ctx.pulses))
+    state, log = run_sequence(_start(ctx, bundle), ctx.pulses, ctx.trap,
+                              ctx.g2d_j_m2)
     bundle.add_text("populations.tsv",
                     _populations_table(log, ctx.cfg.n_max))
-    return state, log
+    return state
 
 
 def _run_single_vortex(ctx: _Context, bundle: _Bundle) -> dict:
-    state, _ = _run_pulse_pipeline(ctx, bundle)
-    summary = _base_summary(ctx)
+    state = _run_pulse_pipeline(ctx, bundle)
+    summary = {}
     _add_populations(summary, state)
     _add_vortex_report(summary, ctx, state, 1)
     bundle.add_image("density_order_p1.pgm",
@@ -357,8 +356,8 @@ def _run_single_vortex(ctx: _Context, bundle: _Bundle) -> dict:
 
 
 def _run_counter_rotating(ctx: _Context, bundle: _Bundle) -> dict:
-    state, _ = _run_pulse_pipeline(ctx, bundle)
-    summary = _base_summary(ctx)
+    state = _run_pulse_pipeline(ctx, bundle)
+    summary = {}
     _add_populations(summary, state)
     summary["l_z_order_p1"] = oam_expectation(state.component(1))
     _dump_fields(bundle, ctx, state)
@@ -375,15 +374,12 @@ def _run_counter_rotating(ctx: _Context, bundle: _Bundle) -> dict:
 
 
 def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
-    pulses = ctx.cfg.pulses(ctx.grid)
-    last = len(pulses) - 1
-    state = ctx.initial_state()
-    bundle.add_image("ground_density.pgm",
-                     ctx.display_image(state, (0,), "ground_density"))
+    last = len(ctx.pulses) - 1
     logger.info("running %d generation pulse(s)", last)
-    state, log = run_sequence(state, pulses[:last], ctx.trap, ctx.g2d_j_m2)
+    state, log = run_sequence(_start(ctx, bundle), ctx.pulses[:last],
+                              ctx.trap, ctx.g2d_j_m2)
 
-    summary = _base_summary(ctx)
+    summary = {}
     _add_vortex_report(summary, ctx, state, 2)
     p0_before = state.population(0)
     p2_before = state.population(2)
@@ -402,7 +398,7 @@ def _run_double_charge(ctx: _Context, bundle: _Bundle) -> dict:
     del before
 
     logger.info("running the interference readout pulse")
-    final, read_log = run_sequence(state, pulses[last:], ctx.trap,
+    final, read_log = run_sequence(state, ctx.pulses[last:], ctx.trap,
                                    ctx.g2d_j_m2)
     del state  # nothing reads the pre-readout state again
     bundle.add_text("populations.tsv",
@@ -454,8 +450,6 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
     first = cfg.data["pulses"][0]
     lg = cfg.beam_spec(first["absorb"])
     emit = cfg.beam_spec(first["emit"])
-    pulses = cfg.pulses(ctx.grid)
-    initial = ctx.initial_state()
 
     # each trial is the configured sequence with pulse 0's coupling turned
     # by the trial phase, which is a phase on the imprinting beam; trial 0
@@ -463,18 +457,19 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
     # state, so by phase covariance of the ladder turning it by phi turns
     # order n by e^{i n phi}, and its delay is diagonal in the orders:
     # pulse 0 and its delay run once, and each trial turns that state.
-    turned = replace(pulses[0], coupling=scaled_coupling(
-        pulses[0].coupling, np.exp(1j * phases[0])))
-    imprinted, imprint_log = run_sequence(initial, (turned,), ctx.trap,
-                                          ctx.g2d_j_m2)
+    turned = replace(ctx.pulses[0], coupling=scaled_coupling(
+        ctx.pulses[0].coupling, np.exp(1j * phases[0])))
+    imprinted, imprint_log = run_sequence(_start(ctx, bundle), (turned,),
+                                          ctx.trap, ctx.g2d_j_m2)
     orders = np.arange(-cfg.n_max, cfg.n_max + 1)
     logger.info("running %d phase trials", n_trials)
-    summary = _base_summary(ctx)
+    summary = {}
     holes, readouts = [], []
     for trial, phase in enumerate(phases):
         turn = np.exp(1j * orders * (phase - phases[0]))[:, None, None]
         start = LadderState(ctx.grid, cfg.n_max, imprinted.values * turn)
-        state, log = run_sequence(start, pulses[1:], ctx.trap, ctx.g2d_j_m2)
+        state, log = run_sequence(start, ctx.pulses[1:], ctx.trap,
+                                  ctx.g2d_j_m2)
         holes.append(absorption_image(state, (0, 1), ctx.grid.pitch_y_m,
                                       label="hole_image"))
         readout_image, readout_angle = phase_readout_pattern(
@@ -492,8 +487,6 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
         (study["annulus_inner_m"], study["annulus_outer_m"]))
     bundle.add_text("study_table.tsv", result.table_text())
     bundle.add_image("readout_pattern.pgm", imaged_readout)
-    bundle.add_image("ground_density.pgm",
-                     ctx.display_image(initial, (0,), "ground_density"))
     bundle.add_text("populations.tsv",
                     _populations_table(imaged_log, cfg.n_max))
     bundle.add_image("hole_image.pgm", holes[0])
@@ -509,20 +502,17 @@ def _run_phase_coherence(ctx: _Context, bundle: _Bundle) -> dict:
 
 def _run_resonance_sweep(ctx: _Context, bundle: _Bundle) -> dict:
     cfg = ctx.cfg
-    pulses = cfg.pulses(ctx.grid)
     detunings = cfg.sweep_detunings()
-    initial = ctx.initial_state()
-    bundle.add_image("ground_density.pgm",
-                     ctx.display_image(initial, (0,), "ground_density"))
+    initial = _start(ctx, bundle)
 
     orders = range(-cfg.n_max, cfg.n_max + 1)
     rows = []
     for i, detuning in enumerate(detunings):
         logger.info("sweep point %d/%d: detuning %.3f recoils",
                     i + 1, len(detunings), detuning)
-        first = replace(pulses[0], delta_nu_recoils=detuning)
-        state, log = run_sequence(initial, (first,) + pulses[1:], ctx.trap,
-                                  ctx.g2d_j_m2)
+        first = replace(ctx.pulses[0], delta_nu_recoils=detuning)
+        state, log = run_sequence(initial, (first,) + ctx.pulses[1:],
+                                  ctx.trap, ctx.g2d_j_m2)
         bundle.add_text(f"point_{i:02d}/populations.tsv",
                         _populations_table(log, cfg.n_max))
         rows.append([detuning] + [state.population(n) for n in orders])
@@ -532,16 +522,14 @@ def _run_resonance_sweep(ctx: _Context, bundle: _Bundle) -> dict:
 
     transfers = [row[header.index("p_p1")] for row in rows]
     best = int(np.argmax(transfers))
-    summary = _base_summary(ctx)
-    summary["n_points"] = len(detunings)
-    summary["peak_detuning_recoils"] = detunings[best]
-    summary["peak_transfer"] = transfers[best]
-    return summary
+    return {"n_points": len(detunings),
+            "peak_detuning_recoils": detunings[best],
+            "peak_transfer": transfers[best]}
 
 
 def _run_custom(ctx: _Context, bundle: _Bundle) -> dict:
-    state, _ = _run_pulse_pipeline(ctx, bundle)
-    summary = _base_summary(ctx)
+    state = _run_pulse_pipeline(ctx, bundle)
+    summary = {}
     _add_populations(summary, state)
     for n in _populated_orders(state, REPORT_POPULATION_FLOOR):
         if n != 0:
@@ -591,7 +579,16 @@ def run_scenario(config, output_dir: str | None = None) -> ScenarioResult:
 
     ctx = _prepare(cfg)
     logger.info("scenario %s -> %s", cfg.scenario, out)
-    summary = _RUNNERS[cfg.scenario](ctx, bundle)
+    # the header every summary starts with, then the runner's own keys
+    summary = {
+        "scenario": cfg.scenario,
+        "schema_version": cfg.data["schema_version"],
+        "seed": cfg.seed,
+        "chemical_potential_j": ctx.ground.chemical_potential_j,
+        "tf_radius_y_m": ctx.ground.tf_radii_m[0],
+        "tf_radius_z_m": ctx.ground.tf_radii_m[1],
+    }
+    summary.update(_RUNNERS[cfg.scenario](ctx, bundle))
 
     bundle.add_text("summary.tsv", _summary_text(summary))
     bundle.add_sidecar("summary.tsv", {

@@ -211,6 +211,29 @@ class TestRelaxation:
             relax_ground_state(seed, trap, g2d, dt_s=2e-6, tol=0.0,
                                max_steps=3)
 
+    # with tol = 0 the flow never stops on the energy, so a budget the
+    # step count never equals used to run forever
+    @pytest.mark.parametrize("max_steps", [math.nan, math.inf, -1, 0, 2.5])
+    def test_bad_step_budget_rejected_before_the_first_step(
+            self, trap, g2d, units, max_steps):
+        seed = thomas_fermi_profile(trap, g2d,
+                                    Grid2D(32, 32, 160e-6, 160e-6, units))
+        log = []
+        with pytest.raises(SimulationError, match="max_steps must be"):
+            relax_ground_state(seed, trap, g2d, tol=0.0, max_steps=max_steps,
+                               energy_log=log)
+        assert log == []
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tol_rejected_before_the_first_step(self, trap, g2d, units,
+                                                    tol):
+        seed = thomas_fermi_profile(trap, g2d,
+                                    Grid2D(32, 32, 160e-6, 160e-6, units))
+        log = []
+        with pytest.raises(SimulationError, match="tol must be"):
+            relax_ground_state(seed, trap, g2d, tol=tol, energy_log=log)
+        assert log == []
+
 
 # The earlier stand-alone relaxation, verbatim apart from the names: two
 # unmerged kinetic half-steps, a position-space renormalisation and a

@@ -66,6 +66,41 @@ class TestCustomIdentity:
                                    rtol=0, atol=1e-12)
 
 
+def short_config(scenario, tmp_path):
+    """A short, flightless small() config of each scenario."""
+    pulses = {
+        "single_vortex": [vortex_pulse(duration_s=1.5e-5)],
+        "counter_rotating": [vortex_pulse(duration_s=1.5e-5),
+                             vortex_pulse(detuning_recoils=-4.0,
+                                          duration_s=1.5e-5)],
+        "phase_coherence": [vortex_pulse(duration_s=1.5e-5),
+                            vortex_pulse(absorb="wide", duration_s=1.5e-5)],
+        "double_charge": double_charge_pulses(),
+        "resonance_sweep": [vortex_pulse(duration_s=1.5e-5)],
+        "custom": [vortex_pulse(duration_s=1.5e-5)],
+    }[scenario]
+    return small(scenario, pulses, tmp_path,
+                 grid={"points_y": 64, "points_z": 64, "n_max": 4},
+                 imaging={"time_of_flight_s": 0.0},
+                 study={"n_trials": 3},
+                 sweep={"detuning_recoils_start": 3.0,
+                        "detuning_recoils_stop": 5.0, "points": 2})
+
+
+class TestEveryScenario:
+    @pytest.mark.parametrize("scenario", sorted(scenarios._RUNNERS))
+    def test_ground_image_comes_first_and_header_leads_the_summary(
+            self, scenario, tmp_path):
+        result = run_scenario(short_config(scenario, tmp_path))
+        assert result.artifacts[:3] == ("config_echo.json",
+                                        "ground_density.pgm",
+                                        "ground_density.pgm.meta")
+        assert list(result.summary)[:6] == [
+            "scenario", "schema_version", "seed", "chemical_potential_j",
+            "tf_radius_y_m", "tf_radius_z_m"]
+        assert result.summary["scenario"] == scenario
+
+
 def assert_same_bundle(a, b):
     """Two bundles, each as (directory, artifact names), hold the same
     files byte for byte; config echoes may differ in output_dir only."""
@@ -324,6 +359,25 @@ class TestPhaseCoherence:
         lines = table.strip().split("\n")
         assert len(lines) == 5
         assert "hole_angle_rad" in lines[0].split("\t")
+
+    def test_initial_state_is_released_before_the_trials(self, tmp_path,
+                                                         monkeypatch):
+        # the ground image is written before pulse 0 runs, so no trial
+        # runs beside the initial state
+        initial, alive_at_trial = [], []
+        sequence = scenarios.run_sequence
+
+        def tracking_sequence(state, *args, **kwargs):
+            if initial:
+                gc.collect()
+                alive_at_trial.append(initial[0]() is not None)
+            else:
+                initial.append(weakref.ref(state))
+            return sequence(state, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_sequence", tracking_sequence)
+        run_scenario(short_config("phase_coherence", tmp_path))
+        assert alive_at_trial == [False, False, False]
 
     def test_trials_turn_the_configured_couplings(self, tmp_path,
                                                   monkeypatch):
