@@ -10,15 +10,17 @@ and the 2D Thomas-Fermi normalization gives
 
 relax_ground_state refines a seed by the same split-step loop that pulses
 use (grid._strang_steps), run in imaginary time and renormalised after each
-step.  Imaginary time has only real operators, so the state runs as real
-rows (_real_rows) through half-spectrum FFTs and becomes complex again only
-at the final phase fix.  _energies is the one energy formula, read from
-the rows' half spectrum and shared with gpe_energy.  The stop test reads
-the energy every _STOP_CHECK_EVERY (K) steps, from a ring of the window's
-spectra, so N steps cost about 2 N (1 + 1/K) real FFTs.  N counts the
-steps run, not the step that stops: the flow runs on to the end of the
-window of K in which it stops, up to K - 1 steps past it (2112 steps for
-the stop at 2104 on double_charge_128's 128^2 grid).
+step.  Its step (2 us, halved where the grid needs it), tolerance and
+budget are module constants, not options.  Imaginary time has only real
+operators, so the state runs as real rows (_real_rows) through
+half-spectrum FFTs and becomes complex again only at the final phase fix.
+_energies is the one energy formula, read from the rows' half spectrum and
+shared with gpe_energy.  The stop test reads the energy every
+_STOP_CHECK_EVERY (K) steps, from a ring of the window's spectra, so N
+steps cost about 2 N (1 + 1/K) real FFTs.  N counts the steps run, not the
+step that stops: the flow runs on to the end of the window of K in which it
+stops, up to K - 1 steps past it (2112 steps for the stop at 2104 on
+double_charge_128's 128^2 grid).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SimulationError, StepSizeError
+from .errors import ConvergenceError, SimulationError
 from .grid import (Grid2D, TransverseField, _fft2_stack, _ifft2_stack,
                    _strang_steps)
 from .units import UnitSystem
@@ -191,81 +193,74 @@ def gpe_energy(field: TransverseField, trap: TrapSpec,
 
 # Steps between two reads of the relaxation's stop test (K).  Every step
 # writes its normalised half spectrum into a ring of K slots, one array;
-# only every K-th step and the one before it (and max_steps) have their
-# energy read, one inverse FFT and four reductions, about a third of a
-# step.  Measured at double_charge_128's 128^2 geometry (2104 steps, dt
-# 2 us, one BLAS thread, 2-core x86-64): median relaxation time of 7
-# interleaved runs, and the tracemalloc peak over the relaxation (the
-# ring is K x 130 KiB)
+# only every K-th step and the one before it have their energy read, one
+# inverse FFT and four reductions, about a third of a step.  Measured at
+# double_charge_128's 128^2 geometry (2104 steps, dt 2 us, one BLAS
+# thread, 2-core x86-64): median relaxation time of 7 interleaved runs,
+# and the tracemalloc peak over the relaxation (the ring is K x 130 KiB)
 #   K = 1    0.89 s   1.39 MiB    (the loop before the ring)
 #   K = 8    0.68 s   2.40 MiB
 #   K = 16   0.62 s   3.54 MiB
 #   K = 32   0.63 s   5.57 MiB
 _STOP_CHECK_EVERY = 16
+# The step before halving, the stop tolerance and the step budget (a
+# multiple of K, so that it falls on a check) of relax_ground_state.
+_RELAX_DT_S = 2e-6
+_RELAX_TOL = 1e-9
+_RELAX_MAX_STEPS = 10000
 
 
 def _relative_change(energy: float, before: float) -> float:
     return abs(energy - before) / max(abs(energy), 1e-300)
 
 
-def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
-                       dt_s: float = 2e-6, tol: float = 1e-9,
-                       max_steps: int = 10000,
-                       energy_log: list | None = None) -> GroundState:
+def relax_ground_state(seed: GroundState, trap: TrapSpec,
+                       g2d_j_m2: float) -> GroundState:
     """Normalised gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674
     (2004)): grid's split-step loop in imaginary time, renormalised after
     every step.
 
-    Every operator of the flow is real, so the seed runs as real rows
+    The step is _RELAX_DT_S (2 us), halved while dt * max(V_max, kinetic
+    at Nyquist) is 1/2 or more, so that no trap or kinetic factor of a
+    step falls to e^{-1/2}: 2 us up to 256^2 over 160 um, 1 us at 512^2.
+    Halving is exact, so the step is 2 us / 2^j bit for bit.  Every
+    operator of the flow is real, so the seed runs as real rows
     (_real_rows: one row, or two when its imaginary part is not zero)
     through half-spectrum transforms, and complex values return only at
     the final phase fix.  The norm (Parseval) is read from each step's
     half-stepped spectrum, the energy (kinetic from the spectrum, the rest
     after one inverse FFT) only where the stop test needs it, so N steps
-    cost 2 N + 1 real FFTs plus one per energy read: 2 N / K at the
-    checks and at most K in the window that stops.  N is the end of that
-    window (or max_steps), up to K - 1 steps past the step that stops:
-    on double_charge_128's 128^2 grid the stop at 2104 runs 2112 steps,
-    1 + 2 x 2112 + 273 = 4498 real FFTs.
+    cost 2 N + 1 real FFTs plus one per energy read: 2 N / K at the checks
+    and at most K in the window that stops.  N is the end of that window,
+    up to K - 1 steps past the step that stops: on double_charge_128's
+    128^2 grid the stop at 2104 runs 2112 steps, 1 + 2 x 2112 + 273 = 4498
+    real FFTs.
 
-    Stops at the first step whose relative energy change falls below tol.
-    The energy is read every _STOP_CHECK_EVERY steps (K), at the last two
-    steps of each window of K, from a ring holding the window's normalised
-    spectra.  Near convergence the change per step is a sum of decaying
-    modes and falls monotonically, and the test relies on that: when the
-    last change is at least tol and no larger than at the check before,
-    none in the window fell below tol.  Otherwise (below tol, or a rise)
-    the window's energies are read in order and the loop stops at the
-    first step under tol, so the state, the step count and the DEBUG
-    record are those of a test on every step.  The energy is
-    non-increasing; a rise beyond float noise means the step is too large,
-    which the entry guard rejects up front: dt * max(V_max, kinetic at
-    Nyquist) must lie in (0, 1/2).  A state holding NaN or inf, the seed
-    included, raises SimulationError at once.  energy_log, if given,
-    collects the per-step energies (internal units); K is then 1.
-    max_steps must be an integer >= 1 and tol finite and >= 0, or
-    SimulationError is raised before the first step: a budget the step
-    count never equals would let a flow that does not converge run
-    forever, and tol = inf would stop it at the first check.
+    Stops at the first step whose relative energy change falls below
+    _RELAX_TOL (1e-9).  The energy is read every _STOP_CHECK_EVERY steps
+    (K), at the last two steps of each window of K, from a ring holding
+    the window's normalised spectra.  Near convergence the change per
+    step is a sum of decaying modes and falls monotonically, and the test
+    relies on that: when the last change is at least the tolerance and no
+    larger than at the check before, none in the window fell below it.
+    Otherwise (below, or a rise) the window's energies are read in order
+    and the loop stops at the first step under the tolerance, so the
+    state, the step count and the DEBUG record are those of a test on
+    every step.  The energy is non-increasing.  A state holding NaN or
+    inf, the seed included, raises SimulationError at once, and a flow
+    not stopped after _RELAX_MAX_STEPS (10000) steps ConvergenceError.
+    The DEBUG record gives steps, energy reads, dt and the last change.
     """
-    # written as not (a <= x < b) so that NaN trips both guards
-    if not 1 <= max_steps < math.inf or max_steps != int(max_steps):
-        raise SimulationError(
-            f"max_steps must be an integer >= 1, got {max_steps}")
-    if not 0.0 <= tol < math.inf:
-        raise SimulationError(f"tol must be finite and >= 0, got {tol}")
     grid = seed.field.grid
     units = grid.units
     g = units.coupling2d_to_internal(g2d_j_m2)
-    dt = units.time_to_internal(dt_s)
+    dt = units.time_to_internal(_RELAX_DT_S)
     potential = trap.potential_internal(grid)
     stiffest = max(float(potential.max()), float(grid.mesh_ksq.max()))
-    if not 0.0 < dt * stiffest < 0.5:
-        raise StepSizeError(
-            f"imaginary-time step {dt_s} s is unstable here: "
-            f"dt * stiffest rate = {dt * stiffest:.3g} is not in (0, 0.5)")
+    while dt * stiffest >= 0.5:
+        dt *= 0.5
 
-    every = _STOP_CHECK_EVERY if energy_log is None else 1
+    every, tol = _STOP_CHECK_EVERY, _RELAX_TOL
     weights, kinetic = _half_plane(grid)
     steps = _strang_steps(_real_rows(seed.field.values), grid.mesh_ksq, dt,
                           g, potential)
@@ -282,8 +277,6 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
             e_kin, e_pot, e_int2, rows = _energies(
                 ring[step % every], kinetic, potential, g, grid)
             energy = e_kin + e_pot + 0.5 * e_int2
-            if step > 0 and energy_log is not None:
-                energy_log.append(energy)
             measured[step] = (energy, e_kin + e_pot + e_int2, rows)
             evaluated += 1
         return measured[step][0]
@@ -303,7 +296,7 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
         scale = 1.0 / math.sqrt(norm)
         spec *= scale
         state *= scale
-        if step % every and step != max_steps:
+        if step % every:
             continue
 
         change = _relative_change(measure(step), measure(step - 1))
@@ -317,15 +310,15 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec, g2d_j_m2: float,
                     break
         if change < tol:
             break
-        if step == max_steps:
+        if step == _RELAX_MAX_STEPS:
             raise ConvergenceError(
-                f"ground state not converged after {max_steps} steps; "
+                f"ground state not converged after {step} steps; "
                 f"last relative energy change {change:.3g} (tol {tol:g})")
         last, last_change = step, change
         measured = {step: (measured[step][0], None, None)}
-    logger.debug("ground state relaxed in %d steps (energy read at %d): "
-                 "relative energy change %.3g < tol %g", stop, evaluated,
-                 change, tol)
+    logger.debug("ground state relaxed in %d steps (energy read at %d), "
+                 "dt %g s: relative energy change %.3g < tol %g", stop,
+                 evaluated, units.time_to_si(dt), change, tol)
     _, mu, rows = measured[stop]
 
     # Back to complex, and fix the global phase to 0 at the density peak.

@@ -8,7 +8,8 @@ command line maps them to exit codes 2, 3 and 4 respectively.
 
 
 class SimulationError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the package's errors, but for the ValueError that
+    Grid2D, Grid2D.padded, LadderState and PhysicalParams raise."""
 
 
 class ConfigError(SimulationError):

@@ -5,10 +5,11 @@
 With the flag, a stdlib ``sys.settrace`` hook watches the frames of
 ``src/ramanvortex`` for exceptions and records each one raised at a
 ``raise`` statement; the terminal summary gives the reached and unreached
-counts and lists the unreached sites as file:line.  Without the flag
-nothing is traced.  Tests that run the package in a subprocess (the CLI
-tests) are not seen, so their guards count as unreached unless an
-in-process test trips them too.
+counts and lists the unreached sites as file:line, and a session that
+left any site unreached exits non-zero even when every test passed.
+Without the flag nothing is traced.  Tests that run the package in a
+subprocess (the CLI tests) are not seen, so their guards count as
+unreached unless an in-process test trips them too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import ramanvortex
 
@@ -61,6 +64,8 @@ class GuardReach:
 
     def pytest_sessionfinish(self, session, exitstatus):
         sys.settrace(self._previous)
+        if self.sites - self.reached and exitstatus == pytest.ExitCode.OK:
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
     def pytest_terminal_summary(self, terminalreporter):
         unreached = sorted(self.sites - self.reached)
@@ -75,7 +80,7 @@ class GuardReach:
 def pytest_addoption(parser):
     parser.addoption("--guard-reach", action="store_true",
                      help="list the package's raise statements that no "
-                          "test reached")
+                          "test reached, and fail if there are any")
 
 
 def pytest_configure(config):

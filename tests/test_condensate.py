@@ -47,7 +47,25 @@ def g2d(trap, units):
 @pytest.fixture(scope="module")
 def relaxed(trap, g2d, grid128):
     seed = thomas_fermi_profile(trap, g2d, grid128)
-    return relax_ground_state(seed, trap, g2d, dt_s=2e-6, tol=1e-10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(condensate, "_RELAX_TOL", 1e-10)
+        return relax_ground_state(seed, trap, g2d)
+
+
+def energy_reads(monkeypatch) -> list:
+    """The energy (internal units) of every state the relaxation reads,
+    in the order read; with _STOP_CHECK_EVERY at 1 that is the seed and
+    then every step."""
+    energies = []
+    original = condensate._energies
+
+    def spy(*args):
+        e_kin, e_pot, e_int2, rows = original(*args)
+        energies.append(e_kin + e_pot + 0.5 * e_int2)
+        return e_kin, e_pot, e_int2, rows
+
+    monkeypatch.setattr(condensate, "_energies", spy)
+    return energies
 
 
 class TestThomasFermi:
@@ -121,19 +139,23 @@ class TestGaussianSeed:
 
 
 class TestRelaxation:
-    def test_reaches_noninteracting_ground_state(self, trap, grid128):
+    def test_reaches_noninteracting_ground_state(self, trap, grid128,
+                                                 monkeypatch):
         # Seed with the ground state of a stiffer trap: wrong width, same
         # symmetry; relaxation must find the true minimum to 0.1%.
         seed = gaussian_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), grid128)
-        out = relax_ground_state(seed, trap, 0.0, dt_s=3e-6, tol=1e-9)
+        monkeypatch.setattr(condensate, "_RELAX_DT_S", 3e-6)
+        out = relax_ground_state(seed, trap, 0.0)
         e0 = math.pi * hbar * (NU_Y + NU_Z)
         assert gpe_energy(out.field, trap, 0.0) == pytest.approx(e0, rel=1e-3)
 
-    def test_energy_never_increases(self, trap, g2d, grid128):
+    def test_energy_never_increases(self, trap, g2d, grid128, monkeypatch):
         seed = thomas_fermi_profile(trap, g2d, grid128)
-        log = []
-        relax_ground_state(seed, trap, g2d, dt_s=2e-6, tol=1e-8,
-                           energy_log=log)
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", 1)
+        monkeypatch.setattr(condensate, "_RELAX_TOL", 1e-8)
+        log = energy_reads(monkeypatch)
+        relax_ground_state(seed, trap, g2d)
+        # the seed's energy, then every step's
         energies = np.array(log)
         assert len(energies) > 3
         rises = np.diff(energies) / np.abs(energies[:-1])
@@ -172,67 +194,90 @@ class TestRelaxation:
         change = np.linalg.norm(np.abs(psi) ** 2 - rho) / np.linalg.norm(rho)
         assert change < 1e-6
 
-    def test_step_size_guard(self, trap, g2d, grid128):
-        seed = thomas_fermi_profile(trap, g2d, grid128)
-        for dt_s in (1e-3, -2e-6, math.nan):
-            with pytest.raises(StepSizeError):
-                relax_ground_state(seed, trap, g2d, dt_s=dt_s)
-
     # an inf pixel spreads as inf * 0 = nan through the spectrum
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_seed_raises_at_once(self, trap, g2d, units, bad):
+    def test_non_finite_seed_raises_at_once(self, trap, g2d, units, bad,
+                                            monkeypatch):
         grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
         seed = thomas_fermi_profile(trap, g2d, grid32)
         values = seed.field.values.copy()
         values[16, 16] = bad
         bad_seed = GroundState(TransverseField(grid32, values),
                                seed.chemical_potential_j, seed.tf_radii_m)
-        log = []
+        log = energy_reads(monkeypatch)
         with pytest.raises(SimulationError, match="NaN or inf"):
-            relax_ground_state(bad_seed, trap, g2d, energy_log=log)
+            relax_ground_state(bad_seed, trap, g2d)
         assert log == []
 
     def test_logs_steps_and_final_change_against_tol(self, trap, g2d, units,
-                                                     caplog):
+                                                     caplog, monkeypatch):
         grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
         seed = thomas_fermi_profile(trap, g2d, grid32)
-        log = []
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", 1)
+        monkeypatch.setattr(condensate, "_RELAX_TOL", 1e-6)
+        log = energy_reads(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.condensate"):
-            relax_ground_state(seed, trap, g2d, tol=1e-6, energy_log=log)
+            relax_ground_state(seed, trap, g2d)
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
-        assert f"in {len(log)} steps" in record.getMessage()
+        # the seed's energy and one per step
+        assert f"in {len(log) - 1} steps" in record.getMessage()
+        assert "dt 2e-06 s" in record.getMessage()
         assert "< tol 1e-06" in record.getMessage()
 
-    def test_budget_exhaustion_reported(self, trap, g2d, grid128):
-        seed = thomas_fermi_profile(trap, g2d, grid128)
-        with pytest.raises(ConvergenceError, match="not converged"):
-            relax_ground_state(seed, trap, g2d, dt_s=2e-6, tol=0.0,
-                               max_steps=3)
-
-    # with tol = 0 the flow never stops on the energy, so a budget the
-    # step count never equals used to run forever
-    @pytest.mark.parametrize("max_steps", [math.nan, math.inf, -1, 0, 2.5])
-    def test_bad_step_budget_rejected_before_the_first_step(
-            self, trap, g2d, units, max_steps):
+    def test_budget_exhaustion_reported(self, trap, g2d, units, monkeypatch):
+        # tol 0 never stops on the energy; the message names the change
+        # at the last step whether the energy is read at every step or
+        # every K, and the budget falls on a check at both
         seed = thomas_fermi_profile(trap, g2d,
                                     Grid2D(32, 32, 160e-6, 160e-6, units))
-        log = []
-        with pytest.raises(SimulationError, match="max_steps must be"):
-            relax_ground_state(seed, trap, g2d, tol=0.0, max_steps=max_steps,
-                               energy_log=log)
-        assert log == []
+        monkeypatch.setattr(condensate, "_RELAX_MAX_STEPS", 32)
+        monkeypatch.setattr(condensate, "_RELAX_TOL", 0.0)
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", 1)
+        log = energy_reads(monkeypatch)
+        with pytest.raises(ConvergenceError) as every_step:
+            relax_ground_state(seed, trap, g2d)
+        assert len(log) == 33
+        change = abs(log[-1] - log[-2]) / abs(log[-1])
+        assert str(every_step.value) == (
+            f"ground state not converged after 32 steps; last relative "
+            f"energy change {change:.3g} (tol 0)")
+        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", 16)
+        with pytest.raises(ConvergenceError) as checked:
+            relax_ground_state(seed, trap, g2d)
+        assert str(checked.value) == str(every_step.value)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
-    def test_bad_tol_rejected_before_the_first_step(self, trap, g2d, units,
-                                                    tol):
+    @pytest.mark.parametrize("option", ["dt_s", "tol", "max_steps",
+                                        "energy_log"])
+    def test_takes_no_options(self, trap, g2d, units, option):
+        # the step follows from the grid, the rest are module constants
         seed = thomas_fermi_profile(trap, g2d,
                                     Grid2D(32, 32, 160e-6, 160e-6, units))
-        log = []
-        with pytest.raises(SimulationError, match="tol must be"):
-            relax_ground_state(seed, trap, g2d, tol=tol, energy_log=log)
-        assert log == []
+        with pytest.raises(TypeError, match=option):
+            relax_ground_state(seed, trap, g2d, **{option: None})
+
+    def test_budget_falls_on_a_check(self):
+        assert (condensate._RELAX_MAX_STEPS
+                % condensate._STOP_CHECK_EVERY == 0)
+
+    def test_step_halves_where_two_microseconds_is_unstable(
+            self, units, caplog, monkeypatch):
+        # the pitch of 512^2 over 160 um, where 2 us puts dt * ksq_max at
+        # 0.56, on 64^2 over 20 um with a 6 um cloud; the trap is ten
+        # times stiffer than TRAP's so that the flow converges in 763 steps
+        grid = Grid2D(64, 64, 20e-6, 20e-6, units)
+        trap = TrapSpec(10 * NU_Y, 10 * NU_Z)
+        g = g2d_from_tf_radius(trap, 6e-6, units)
+        seed = thomas_fermi_profile(trap, g, grid)
+        out, steps, _, dt, _ = _relax_with_record(seed, trap, g, caplog)
+        assert dt == "1e-06"
+        reference_log = []
+        reference = reference_relax_ground_state(seed, trap, g, dt_s=1e-6,
+                                                 energy_log=reference_log)
+        assert steps == len(reference_log)
+        diff = out.field.values - reference.field.values
+        assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell_area) < 1e-12
 
 
 # The earlier stand-alone relaxation, verbatim apart from the names: two
@@ -323,14 +368,16 @@ class TestRelaxationMatchesReference:
     y, so non-square grids check that its axis is the right one."""
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
-    def test_same_steps_and_state(self, case, trap, g2d, grid64, units):
+    def test_same_steps_and_state(self, case, trap, g2d, grid64, units,
+                                  caplog, monkeypatch):
         seed, g, dt_s = _reference_case(case, trap, g2d, grid64, units)
         grid = seed.field.grid
-        log, reference_log = [], []
-        out = relax_ground_state(seed, trap, g, dt_s=dt_s, energy_log=log)
+        reference_log = []
+        monkeypatch.setattr(condensate, "_RELAX_DT_S", dt_s)
+        out, steps, _, _, _ = _relax_with_record(seed, trap, g, caplog)
         reference = reference_relax_ground_state(seed, trap, g, dt_s=dt_s,
                                                  energy_log=reference_log)
-        assert len(log) == len(reference_log)
+        assert steps == len(reference_log)
         diff = out.field.values - reference.field.values
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell_area) < 1e-12
         assert out.chemical_potential_j == pytest.approx(
@@ -349,24 +396,26 @@ class TestRelaxationMatchesReference:
             units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)
 
 
-def _relax_with_record(seed, trap, g, dt_s, caplog, **kwargs):
+def _relax_with_record(seed, trap, g, caplog):
     """The relaxed state and the parts of its DEBUG record: step count,
-    energies read, and the change against tol."""
+    energies read, the step in s as printed, and the change against
+    tol."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ramanvortex.condensate"):
-        out = relax_ground_state(seed, trap, g, dt_s=dt_s, **kwargs)
+        out = relax_ground_state(seed, trap, g)
     (record,) = caplog.records
-    steps, reads, rest = re.fullmatch(
-        r"ground state relaxed in (\d+) steps \(energy read at (\d+)\): "
-        r"(relative energy change .* < tol .*)", record.getMessage()).groups()
-    return out, int(steps), int(reads), rest
+    steps, reads, dt, rest = re.fullmatch(
+        r"ground state relaxed in (\d+) steps \(energy read at (\d+)\), "
+        r"dt (\S+) s: (relative energy change .* < tol .*)",
+        record.getMessage()).groups()
+    return out, int(steps), int(reads), dt, rest
 
 
 class TestStopCheckedEveryKSteps:
     """The stop test reads the energy every _STOP_CHECK_EVERY steps and
-    searches the last window for the first step under tol; an energy_log
-    makes it read every step.  Both must give the same state, bit for
-    bit, the same step count and the same change against tol."""
+    searches the last window for the first step under tol; at K = 1 it
+    reads every step.  Both must give the same state, bit for bit, the
+    same step count and the same change against tol."""
 
     @pytest.fixture(scope="class")
     def every_step(self):
@@ -384,44 +433,24 @@ class TestStopCheckedEveryKSteps:
             seed, g, dt_s = thomas_fermi_profile(trap, g2d, grid128), g2d, 2e-6
         else:
             seed, g, dt_s = _reference_case(case, trap, g2d, grid64, units)
+        monkeypatch.setattr(condensate, "_RELAX_DT_S", dt_s)
         if case not in every_step:
-            log = []
-            every_step[case] = _relax_with_record(seed, trap, g, dt_s, caplog,
-                                                  energy_log=log)
-            assert every_step[case][1] == len(log)
-        expected, steps, reads, rest = every_step[case]
+            monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", 1)
+            every_step[case] = _relax_with_record(seed, trap, g, caplog)
+        expected, steps, reads, dt, rest = every_step[case]
         assert reads == steps + 1
         if case == "grid_128":
-            assert steps == 2104
+            assert (steps, dt) == (2104, "2e-06")
 
         monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", every)
-        out, out_steps, out_reads, out_rest = _relax_with_record(
-            seed, trap, g, dt_s, caplog)
+        out, out_steps, out_reads, out_dt, out_rest = _relax_with_record(
+            seed, trap, g, caplog)
         assert np.array_equal(out.field.values, expected.field.values)
         assert out.chemical_potential_j == expected.chemical_potential_j
         assert out.tf_radii_m == expected.tf_radii_m
-        assert (out_steps, out_rest) == (steps, rest)
+        assert (out_steps, out_dt, out_rest) == (steps, dt, rest)
         # the two steps of each check, the seed, and one window's search
         assert out_reads <= 2 * (steps // every + 1) + every + 1
-
-    @pytest.mark.parametrize("every", [8, 16])
-    def test_budget_off_the_cadence_names_the_last_change(
-            self, every, trap, g2d, units, monkeypatch):
-        grid32 = Grid2D(32, 32, 160e-6, 160e-6, units)
-        seed = thomas_fermi_profile(trap, g2d, grid32)
-        max_steps = 21
-        assert max_steps % every
-        log = []
-        with pytest.raises(ConvergenceError) as every_step:
-            relax_ground_state(seed, trap, g2d, max_steps=max_steps,
-                               energy_log=log)
-        change = abs(log[-1] - log[-2]) / abs(log[-1])
-        assert f"last relative energy change {change:.3g}" in str(
-            every_step.value)
-        monkeypatch.setattr(condensate, "_STOP_CHECK_EVERY", every)
-        with pytest.raises(ConvergenceError) as checked:
-            relax_ground_state(seed, trap, g2d, max_steps=max_steps)
-        assert str(checked.value) == str(every_step.value)
 
     def test_holds_one_ring_of_k_half_spectra_and_a_stated_slack(
             self, trap, g2d, grid128, monkeypatch):

@@ -236,10 +236,11 @@ def test_sidecar_readable(tmp_path, grid64, units, rng):
 
 class TestSplitStepFftCount:
     """The one split-step loop's FFT budget: 2 n + 2 for an n-step pulse
-    (half-steps merged between steps), 3 N + 2 for an N-step relaxation
-    (norm and kinetic energy read from the spectrum, one inverse FFT for
-    the rest of the energy), 2 n + 2 for a time of flight with an n-step
-    mean-field window (free flight applied to the window's last spectrum),
+    (half-steps merged between steps), 1 + 2 N + M for an N-step
+    relaxation that reads M energies (norm and kinetic energy read from
+    the spectrum, one inverse FFT for each energy read), 2 n + 2 for a
+    time of flight with an n-step mean-field window (free flight applied
+    to the window's last spectrum),
     plus one forward transform for the orders the window skips.  Each call
     is recorded as (name, dtype, shape) of the array it is given."""
 
@@ -266,13 +267,22 @@ class TestSplitStepFftCount:
     def trap(self):
         return TrapSpec(40.0 / math.sqrt(2.0), 40.0)
 
-    def test_relaxation_costs_3n_plus_2(self, grid32, trap, units, fft_calls):
+    def test_relaxation_costs_2n_plus_1_and_one_per_energy_read(
+            self, grid32, trap, units, fft_calls, caplog, monkeypatch):
         g2d = g2d_from_tf_radius(trap, 30e-6, units)
         seed = thomas_fermi_profile(trap, g2d, grid32)
-        log = []
-        relax_ground_state(seed, trap, g2d, tol=1e-6, energy_log=log)
-        assert len(log) > 10
-        assert len(fft_calls) == 3 * len(log) + 2
+        monkeypatch.setattr(condensate, "_RELAX_TOL", 1e-6)
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.condensate"):
+            relax_ground_state(seed, trap, g2d)
+        (record,) = caplog.records
+        stop, reads = map(int, re.match(
+            r"ground state relaxed in (\d+) steps \(energy read at (\d+)\)",
+            record.getMessage()).groups())
+        # the flow runs on to the end of the window of K that stops
+        every = condensate._STOP_CHECK_EVERY
+        steps = every * math.ceil(stop / every)
+        assert stop > 10
+        assert len(fft_calls) == 1 + 2 * steps + reads
         # the loop runs on real rows: forward transforms get real arrays,
         # inverse ones half spectra, and none a complex full plane
         assert {(name, dtype.kind, shape[-2:])

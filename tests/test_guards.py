@@ -1,6 +1,7 @@
 """Guards trip on NaN and inf, not only on values out of range."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -282,8 +283,23 @@ def test_guard_reach_records_only_the_raise_that_ran():
         with pytest.raises(SimulationError, match="pulse duration"):
             PulseSpec(None, 4.0, -1.0)
     finally:
-        reach.pytest_sessionfinish(None, 0)
+        reach.pytest_sessionfinish(SimpleNamespace(exitstatus=0), 0)
     (path, line), = reach.reached
     assert path == dynamics.__file__ and (path, line) in reach.sites
     with open(path, encoding="utf-8") as fh:
         assert fh.read().splitlines()[line - 1].strip().startswith("raise")
+
+
+@pytest.mark.parametrize("all_reached", [False, True])
+@pytest.mark.parametrize("exitstatus", [pytest.ExitCode.OK,
+                                        pytest.ExitCode.TESTS_FAILED])
+def test_guard_reach_fails_a_session_that_left_a_site_unreached(
+        all_reached, exitstatus):
+    reach = guard_reach.GuardReach()
+    if all_reached:
+        reach.reached = set(reach.sites)
+    session = SimpleNamespace(exitstatus=exitstatus)
+    reach.pytest_sessionstart(session)
+    reach.pytest_sessionfinish(session, exitstatus)
+    assert session.exitstatus == (
+        exitstatus if all_reached else pytest.ExitCode.TESTS_FAILED)

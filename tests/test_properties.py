@@ -28,6 +28,14 @@ y -> -y, which keeps the trap and turns a coupling of winding l into one
 of winding -l, and, on a square grid in an isotropic trap, the quarter
 turn.  Mirroring or turning the state and the coupling then mirrors or
 turns the pulse's result, to rounding.
+
+A uniform drive factorises, at any g and with the trap on: with omega
+constant over the grid the per-point ladder unitary is the same
+everywhere and commutes with the kinetic and position steps, and the
+total density of phi (x) c is |phi|^2 for every unit vector c.  So a
+pulse on phi (x) e_0 gives [exp(-i t H_ladder) e_0] (x) (phi after a delay
+of the same length), to rounding, when both take the same step; they do,
+since the automatic step sees the same density, trap, g and duration.
 """
 
 import math
@@ -36,11 +44,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
-from ramanvortex.dynamics import PulseSpec, evolve_free, evolve_pulse
+from ramanvortex.dynamics import (PulseSpec, detuning_ladder, evolve_free,
+                                  evolve_pulse)
 from ramanvortex.grid import Grid2D, LadderState, TransverseField
-from ramanvortex.optics import BeamSpec, CouplingMap, coupling_map
+from ramanvortex.optics import (BeamSpec, CouplingMap, coupling_map,
+                                scaled_coupling, uniform_coupling)
 
 N_MAX = 4
 DURATION_S = 20e-6
@@ -248,3 +259,26 @@ def test_quarter_turn_of_state_and_coupling_turns_the_pulse(grids, g2d, n,
         ISOTROPIC_TRAP, g2d)
     assert distance(turned, state.values) > 0.1
     assert distance(out_turned, quarter_turn(out.values)) <= TOLERANCE
+
+
+@PROPERTY_SETTINGS
+@given(n=points, rate=rates, delta=detunings, phi=phases,
+       offset=st.floats(0.0, 1.0))
+def test_uniform_drive_factorises(grids, g2d, n, rate, delta, phi, offset):
+    grid = grids[n]
+    units = grid.units
+    # a displaced, boosted packet on order 0 alone
+    state = packet(grid, ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)), offset)
+    omega = rate * np.exp(1j * phi)
+    drive = scaled_coupling(uniform_coupling(rate, grid), np.exp(1j * phi))
+    out = evolve_pulse(state, PulseSpec(drive, delta, DURATION_S), TRAP, g2d)
+    delayed = evolve_free(state, DURATION_S, TRAP, g2d)
+
+    w = units.rate_to_internal(omega)
+    ladder = np.diag(detuning_ladder(delta, N_MAX)).astype(complex)
+    ladder += np.diag(np.full(2 * N_MAX, w / 2.0), -1)
+    ladder += np.diag(np.full(2 * N_MAX, np.conj(w) / 2.0), 1)
+    weights = expm(-1j * units.time_to_internal(DURATION_S) * ladder)[:, N_MAX]
+    expected = weights[:, None, None] * delayed.values[delayed.index(0)]
+    assert distance(out, state.values) > 0.1
+    assert distance(out, expected) <= TOLERANCE
