@@ -11,9 +11,10 @@ and the 2D Thomas-Fermi normalization gives
 relax_ground_state refines a seed by the same split-step loop that pulses
 use (grid._strang_steps), run in imaginary time and renormalised after each
 step.  Its step (2 us, halved where the grid needs it), tolerance and
-budget are module constants, not options.  Imaginary time has only real
-operators, so the state runs as real rows (_real_rows) through
-half-spectrum FFTs and becomes complex again only at the final phase fix.
+budget (20 ms of imaginary time) are module constants, not options.
+Imaginary time has only real operators, so the state runs as real rows
+(_real_rows) through half-spectrum FFTs and becomes complex again only at
+the final phase fix.
 _energies is the one energy formula, read from the rows' half spectrum and
 shared with gpe_energy.  The stop test reads the energy every
 _STOP_CHECK_EVERY (K) steps, from a ring of the window's spectra, so N
@@ -204,7 +205,9 @@ def gpe_energy(field: TransverseField, trap: TrapSpec,
 #   K = 32   0.63 s   5.57 MiB
 _STOP_CHECK_EVERY = 16
 # The step before halving, the stop tolerance and the step budget (a
-# multiple of K, so that it falls on a check) of relax_ground_state.
+# multiple of K, so that it falls on a check) of relax_ground_state.  The
+# budget doubles with each halving of the step, so that every grid gets
+# the same imaginary time, 10000 x 2 us = 20 ms.
 _RELAX_DT_S = 2e-6
 _RELAX_TOL = 1e-9
 _RELAX_MAX_STEPS = 10000
@@ -248,7 +251,9 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec,
     state, the step count and the DEBUG record are those of a test on
     every step.  The energy is non-increasing.  A state holding NaN or
     inf, the seed included, raises SimulationError at once, and a flow
-    not stopped after _RELAX_MAX_STEPS (10000) steps ConvergenceError.
+    not stopped within _RELAX_MAX_STEPS (10000) steps of 2 us, the same
+    20 ms of imaginary time at every step (20000 steps of 1 us),
+    ConvergenceError.
     The DEBUG record gives steps, energy reads, dt and the last change.
     """
     grid = seed.field.grid
@@ -257,8 +262,10 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec,
     dt = units.time_to_internal(_RELAX_DT_S)
     potential = trap.potential_internal(grid)
     stiffest = max(float(potential.max()), float(grid.mesh_ksq.max()))
+    max_steps = _RELAX_MAX_STEPS
     while dt * stiffest >= 0.5:
         dt *= 0.5
+        max_steps *= 2
 
     every, tol = _STOP_CHECK_EVERY, _RELAX_TOL
     weights, kinetic = _half_plane(grid)
@@ -310,7 +317,7 @@ def relax_ground_state(seed: GroundState, trap: TrapSpec,
                     break
         if change < tol:
             break
-        if step == _RELAX_MAX_STEPS:
+        if step == max_steps:
             raise ConvergenceError(
                 f"ground state not converged after {step} steps; "
                 f"last relative energy change {change:.3g} (tol {tol:g})")

@@ -209,12 +209,17 @@ class LadderState:
                      * self.grid.cell_area)
 
 
-def _density(values: np.ndarray) -> np.ndarray:
+def _density(values: np.ndarray, rho: np.ndarray | None = None,
+             term: np.ndarray | None = None) -> np.ndarray:
     """sum_n |values[n]|^2 over a stack, added one order at a time into
     one plane: bitwise np.sum(np.abs(values) ** 2, axis=0), with no
-    stack-sized temporaries."""
-    rho = np.zeros(values.shape[1:])
-    term = np.empty_like(rho)
+    stack-sized temporaries.  rho and term, when given, are real planes
+    of the stack's plane shape that it fills in place (rho is returned)
+    instead of making its own."""
+    if rho is None:
+        rho = np.empty(values.shape[1:])
+        term = np.empty_like(rho)
+    rho.fill(0.0)
     for n in range(len(values)):
         np.abs(values[n], out=term)
         np.square(term, out=term)
@@ -295,34 +300,52 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
 
     values is consumed.  A complex stack is transformed in place, forward
     and back, so callers hand over a temporary (state.values.copy()) and
-    the loop holds that one buffer through every step, with the density
-    and phase as planes beside it.  A real stack is only read (rfft2
-    cannot run in place) and released once transformed.
+    the loop holds that one buffer through every step, with the density,
+    its term and the phase as planes beside it, made once.  A real stack
+    is only read (rfft2 cannot run in place) and released once
+    transformed; as each transform makes a new stack, each step makes
+    new planes too, and drops them before it yields, where the
+    relaxation reads its energies beside its ring.
     """
     n_y = values.shape[-1] if np.isrealobj(values) else None
     if n_y is not None:
         ksq = ksq[:, :n_y // 2 + 1]
     half = np.exp(-0.5 * tau * ksq)
     full = half * half
+    shape = values.shape[1:]
+
+    def planes():
+        # the density, its term and the phase
+        rho = np.empty(shape)
+        return rho, np.empty_like(rho), np.empty(shape, np.result_type(tau))
+
     spec = _fft2_stack(values)
     del values
     yield spec, 1.0
+    # A complex stack's planes are made once, after the first yield, and
+    # refilled in place: fresh planes each step are fresh pages wherever
+    # the allocator maps them afresh (680 faults a step at 256^2).
+    held = planes() if n_y is None else None
     spec *= half
     while True:
         values = _ifft2_stack(spec, n_y)
         del spec
-        scalar = _density(values)
+        scalar, term, phase = held or planes()
+        _density(values, scalar, term)
         scalar *= g
         if potential is not None:
             scalar += potential
-        phase = np.exp(-tau * scalar)
-        del scalar
+        # copied, then scaled: np.multiply(-tau, scalar, out=phase) would
+        # cast through a 128 KiB buffer of its own on every call
+        phase[...] = scalar
+        phase *= -tau
+        np.exp(phase, out=phase)
         if ladder is None:
             values *= phase
         else:
             values = ladder.apply(values.reshape(len(values), -1),
                                   phase.ravel()).reshape(values.shape)
-        del phase
+        del scalar, term, phase
         spec = _fft2_stack(values)
         del values
         yield spec, half
@@ -339,13 +362,32 @@ def _strang_spectrum(values: np.ndarray, ksq: np.ndarray, dt: float,
     computed in its buffer."""
     steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
     del values
+    next(steps)
+    return _strang_finish(steps, n_steps)
+
+
+def _strang_finish(steps, n_steps: int) -> np.ndarray:
+    """Runs a _strang_steps generator whose first yield was taken through
+    n_steps >= 1 steps and ends in momentum space: returns the spectrum.
+    Costs 2 n_steps FFTs."""
     # Yields are dropped at once: a spectrum kept across a step would hold
     # an extra stack through the ladder product.
-    for _ in range(n_steps):
+    for _ in range(n_steps - 1):
         next(steps)
     spec, pending = next(steps)
     spec *= pending
     return spec
+
+
+def _high_k_share(spec: np.ndarray, grid: Grid2D) -> float:
+    """Share of the norm at |k| above half the Nyquist radius
+    (pi / max(dy, dz), the largest disc inside the grid's wavenumbers),
+    read off the orthonormal spectrum of one plane or a stack on grid.
+    Smooth states put a share there that falls fast with the pitch, a
+    kinked edge (the Thomas-Fermi parabola's) a large one."""
+    cut = 0.5 * math.pi / max(grid.dy, grid.dz)
+    dens = _density(spec.reshape((-1,) + grid.shape))
+    return float(dens[grid.mesh_ksq > cut * cut].sum() / dens.sum())
 
 
 def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,

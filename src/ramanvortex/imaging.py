@@ -3,9 +3,12 @@ patterns and 16-bit PGM export.
 
 Expansion happens on a zero-padded copy of the grid: an optional short
 nonlinear window converts interaction energy into kinetic energy, then the
-remainder of the flight is a single exact spectral propagation.  Orders of
-the momentum ladder fly apart along the (ungridded) beam axis at
-2 hbar k / M per order; imaging only needs each order's recorded shift.
+remainder of the flight is a single exact spectral propagation.  The
+window runs on the in-trap grid, a quarter of the padded points, when the
+state is resolved there (little of its norm at high k) and stays clear of
+the in-trap edge, and on the padded grid otherwise.  Orders of the
+momentum ladder fly apart along the (ungridded) beam axis at 2 hbar k / M
+per order; imaging only needs each order's recorded shift.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from .errors import GridOverflowError, SimulationError
 from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
                    sidecar_number, write_sidecar, _axial_phase, _density,
-                   _fft2_stack, _free_flight, _ifft2_stack, _strang_spectrum)
+                   _fft2_stack, _free_flight, _high_k_share, _ifft2_stack,
+                   _strang_finish, _strang_spectrum, _strang_steps)
 
 logger = logging.getLogger(__name__)
 
@@ -56,19 +60,63 @@ WINDOW_PHASE_PER_STEP = 0.03
 # (counter_rotating: 5 of 7 orders, Phi p = 2.9e-7).
 _PRUNE_BUDGET = 1e-6
 
-# Fraction of the norm allowed within two samples of the padded boundary.
-# The mean-field window runs on the padded grid as well, although the
-# cloud stays inside the in-trap grid for the window's length.  Largest
-# density error of any order after the whole flight, against a window run
-# on an 8x box, in units of the image peak (seed 1, double_charge_128's
-# two flights alike): with the window on the in-trap grid, 1.9e-5 on
+# Fraction of the norm allowed within two samples of the padded boundary
+# after the flight.  Largest density error of any order after the whole
+# flight, against a window run on an 8x box, in units of the image peak
+# (seed 1, double_charge_128's two flights alike): with the window on the
+# 2x padded grid, 1.2e-6 on vortex_256, just over the 1e-6 budget that
+# WINDOW_PHASE_PER_STEP and _PRUNE_BUDGET keep, and 1.2e-8 on
+# double_charge_128; with the window on the in-trap grid, 1.9e-5 on
 # vortex_256 (the Thomas-Fermi edge wraps round the periodic box) and
-# 5.8e-8 on double_charge_128; on the 2x padded grid, 1.2e-6 on
-# vortex_256, just over the 1e-6 budget that WINDOW_PHASE_PER_STEP and
-# _PRUNE_BUDGET keep, and 1.2e-8 on double_charge_128.  So the window is
-# not run before the embedding, though that would take a quarter of the
-# points.
+# 5.8e-8 on double_charge_128.  So the window runs on the in-trap grid, a
+# quarter of the points, only for a state that _RESOLVED_SHARE_LIMIT
+# calls resolved and whose window stays within _WRAP_MASS_LIMIT of the
+# in-trap edge.
 _BOUNDARY_MASS_LIMIT = 1e-6
+
+# Largest high-k share (grid._high_k_share: the share of the norm at |k|
+# above half the Nyquist radius, read off the window rows' padded
+# spectrum) at which the mean-field window runs on the in-trap grid.  A
+# smooth state's spectrum decays fast and a kinked one's slowly
+# (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 4), and the kink
+# of a Thomas-Fermi edge is what wraps round the in-trap box.  Measured
+# at seed 1 on the flights of vortex_256 and double_charge_128, of the
+# single_vortex, counter_rotating and double_charge presets (6 ms with a
+# 500 us window) with either profile, and of a relaxed 15 um cloud with
+# a charge-1 order split off it, flown as the presets, on 64^2 over
+# 80-140 um: the share, then the largest density error of any order
+# against a window on an 8x box (4x at 256^2), in units of the image
+# peak, with the window in trap / on the 2x padded grid.
+#   relaxed, 256^2 presets        7.6-8.5e-11    7.2e-13-1.8e-12 /
+#                                                1.1-1.9e-13
+#   relaxed 15 um, 64^2, 80 um    1.5e-6         2.5e-8 / 2.2e-9
+#   relaxed, 128^2 presets and    3.0-3.5e-6     4.1e-8-1.1e-7 /
+#     double_charge_128                          0.95-2.5e-8
+#   relaxed 15 um, 64^2, 90 um    7.9e-6         7.7e-8 / 9.7e-9
+#   relaxed 15 um, 64^2, 100 um   2.1e-5         2.4e-7 / 6.3e-8
+#   relaxed 15 um, 64^2, 120 um   1.5e-4         9.1e-7 / 1.9e-7
+#   Thomas-Fermi, 256^2 presets   2.8-2.9e-4     1.9e-5-1.1e-4 /
+#     and vortex_256                             9.5e-7-1.2e-5
+#   relaxed 15 um, 64^2, 140 um   4.2e-4         2.1e-6 / 7.2e-7
+#   relaxed, 64^2 presets         5.5-6.3e-4     8.8e-6-3.8e-5 / 2.2-9.0e-6
+#   Thomas-Fermi, 128^2 presets   1.2e-3         5.3e-5-1.7e-4 / 1.1-4.0e-5
+#   Thomas-Fermi, 64^2 presets    4.4-4.6e-3     6.1e-5-1.9e-4 / 1.4-4.3e-5
+# Every state at or below 1e-5 meets the 1e-6 budget by 8x or more; the
+# smallest share over budget, 2.75e-4 (counter_rotating at 256^2), sits
+# 27x above it.
+_RESOLVED_SHARE_LIMIT = 1e-5
+
+# Fraction of the norm allowed within two samples of the in-trap boundary
+# after a window run there.  Above it the cloud has reached the edge of
+# the periodic in-trap box and wrapped round, and the padded window runs
+# instead.  The wrapped amplitude interferes with the cloud once it flies
+# on, so the density error grows as the square root of this mass: 0.9-2.2
+# sqrt(mass) of the image peak against a window on a 4x box, for a
+# relaxed 30 um cloud on 128^2 over 100 and 160 um with windows of 1-8 ms
+# and 2 ms of flight after them (masses 3e-20 to 9e-10), and 1.5-2.3
+# sqrt(mass) against the 2x padded window on the relaxed 128^2 presets
+# (masses 4.3e-16 to 1.8e-15).  1e-13 holds it to about 7e-7.
+_WRAP_MASS_LIMIT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -122,21 +170,25 @@ def _require_square_pixels(grid: Grid2D) -> float:
 # Time of flight
 # ---------------------------------------------------------------------------
 
+def _inner(padded: Grid2D, grid: Grid2D) -> tuple[slice, slice]:
+    """The (z, y) slices of padded that hold grid, centred."""
+    z0 = (padded.n_z - grid.n_z) // 2
+    y0 = (padded.n_y - grid.n_y) // 2
+    return slice(z0, z0 + grid.n_z), slice(y0, y0 + grid.n_y)
+
+
 def _embed(state: LadderState, padded: Grid2D) -> np.ndarray:
     """The state's stack, zero-embedded at the centre of the padded grid,
     in a new stack."""
-    grid = state.grid
     out = np.zeros((len(state.values),) + padded.shape, dtype=np.complex128)
-    z0 = (padded.n_z - grid.n_z) // 2
-    y0 = (padded.n_y - grid.n_y) // 2
-    out[:, z0:z0 + grid.n_z, y0:y0 + grid.n_y] = state.values
+    out[(slice(None),) + _inner(padded, state.grid)] = state.values
     return out
 
 
-def _boundary_mass_fraction(state: LadderState) -> float:
-    # 0 for an empty state; NaN for one holding NaN or inf, which the
-    # caller's finite check rejects
-    dens = state.total_density()
+def _boundary_mass_fraction(dens: np.ndarray) -> float:
+    """Share of a density plane within two samples of its edge.  0 for an
+    empty plane; NaN for one holding NaN or inf, which the caller's
+    finite check rejects."""
     total = dens.sum()
     if not 0.0 < total < math.inf:
         return 0.0 if total == 0.0 else math.nan
@@ -158,11 +210,26 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     window's mean field but fly freely for all of t_s: the fainter edge
     order is pruned while Phi p stays within _PRUNE_BUDGET (Phi the
     window's whole mean-field phase, p the pruned share of the norm), so
-    the window's orders stay a contiguous range of rows.  Returns a new
-    state on the padded grid with each order's axial displacement
-    recorded for imaging.  Logs one DEBUG record per call: the window's
-    steps, its largest phase per step, the pruned orders with Phi p and
-    the boundary mass, each next to its limit.
+    the window's orders stay a contiguous range of rows.
+
+    The window runs on one of two grids.  Its rows are embedded in the
+    padded stack and the padded window's first transform gives their
+    spectrum.  If the share of its norm at |k| above half the Nyquist
+    radius is within _RESOLVED_SHARE_LIMIT, the window runs on the
+    in-trap grid instead, and its rows are embedded after it, unless
+    more than _WRAP_MASS_LIMIT of their norm then lies within two samples
+    of the in-trap edge, where it has wrapped round; the padded window
+    then runs on from the spectrum it began with.  Costs 2 n + 2 stack
+    FFTs for n window steps on the padded grid, plus one per block of
+    pruned rows, and 2 n + 5 with the window on the in-trap grid, where
+    2 n + 2 of them run.
+
+    Returns a new state on the padded grid with each order's axial
+    displacement recorded for imaging.  Logs one DEBUG record per call:
+    the window's steps, the grid it ran on, the high-k share and in-trap
+    boundary mass (NaN where not read), its largest phase per step, the
+    pruned orders with Phi p and the boundary mass, each next to its
+    limit.
 
     Raises GridOverflowError if the expanded cloud reaches the padded
     boundary, and SimulationError if the state holds NaN or inf, or if a
@@ -179,10 +246,11 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
         raise SimulationError(
             f"pad_factor {pad_factor} is not finite and >= 2 "
             f"(zero-embedding rule)")
-    units = state.grid.units
+    grid = state.grid
+    units = grid.units
     window_s = min(meanfield_window_s, t_s)
 
-    padded = state.grid.padded(pad_factor)
+    padded = grid.padded(pad_factor)
     dim = len(state.values)
     g = units.coupling2d_to_internal(g2d_j_m2)
     t = units.time_to_internal(t_s)
@@ -221,13 +289,31 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     # free-flight time per order: the window's orders fly what it leaves
     flight = np.full(dim, t)
     values = _embed(state, padded)
+    window_grid, share, edge = padded, math.nan, math.nan
     if hi > lo:
-        # runs in place on the window's rows and ends in momentum space
-        _strang_spectrum(values[lo:hi], padded.mesh_ksq, dt, n_steps, g)
+        # The padded window runs in place on the window's rows; its first
+        # transform gives the spectrum whose high-k share picks the grid.
+        steps = _strang_steps(values[lo:hi], padded.mesh_ksq, 1j * dt, g)
+        share = _high_k_share(next(steps)[0], padded)
+        if share <= _RESOLVED_SHARE_LIMIT:
+            rows = _ifft2_stack(_strang_spectrum(
+                state.values[lo:hi].copy(), grid.mesh_ksq, dt, n_steps, g))
+            # a cloud that reached the in-trap edge has wrapped round
+            edge = _boundary_mass_fraction(_density(rows))
+            if edge <= _WRAP_MASS_LIMIT:
+                window_grid = grid
+                values[lo:hi] = 0.0
+                values[(slice(lo, hi),) + _inner(padded, grid)] = rows
+            del rows
+        if window_grid is padded:
+            _strang_finish(steps, n_steps)
+        del steps
         flight[lo:hi] -= t_window
     if t > 0.0:
-        # the other rows join the window's spectrum, each block in place
-        for rows in (values[:lo], values[hi:]):
+        # the rows in position space join the spectrum, each block in place
+        blocks = ((values[:lo], values[hi:]) if window_grid is padded
+                  else (values,))
+        for rows in blocks:
             if len(rows):
                 _fft2_stack(rows)
         _free_flight(values, padded.mesh_ksq, flight)
@@ -241,15 +327,19 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     shifts = {n: float(n * v_si * t_s) for n in state.orders}
 
     out = LadderState(padded, state.n_max, values, axial_shift_m=shifts)
-    frac = _boundary_mass_fraction(out)
+    frac = _boundary_mass_fraction(out.total_density())
     logger.debug(
         "time of flight %.3g s: mean-field window of %d steps, dt %.3g s, "
-        "over %d of %d orders; g*rho_max*dt %.3g rad (limit %g); "
+        "over %d of %d orders on the %s %dx%d grid; high-k share %.3g "
+        "(limit %g), in-trap boundary mass fraction %.3g (limit %g); "
+        "g*rho_max*dt %.3g rad (limit %g); "
         "pruned orders %s, window phase x pruned share %.3g (limit %g); "
         "boundary mass fraction %.3g (limit %g)",
         t_s, n_steps, dt * units.time_s, hi - lo, dim,
-        phase_per_step, WINDOW_PHASE_PER_STEP, pruned, phi_p,
-        _PRUNE_BUDGET, frac, _BOUNDARY_MASS_LIMIT)
+        "in-trap" if window_grid is grid else "padded", window_grid.n_y,
+        window_grid.n_z, share, _RESOLVED_SHARE_LIMIT, edge,
+        _WRAP_MASS_LIMIT, phase_per_step, WINDOW_PHASE_PER_STEP, pruned,
+        phi_p, _PRUNE_BUDGET, frac, _BOUNDARY_MASS_LIMIT)
     if not math.isfinite(frac):
         raise SimulationError(
             f"boundary mass fraction is {frac}: the state holds NaN or inf")

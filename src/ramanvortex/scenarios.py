@@ -57,10 +57,11 @@ from .diagnostics import (oam_expectation, phase_correlation_study,
                           vortex_report)
 from .dynamics import PulseSpec, run_sequence
 from .errors import SimulationError
-from .grid import Grid2D, LadderState, save_field, write_sidecar
-from .imaging import (ImagePlane, absorption_image, analytic_pattern,
-                      pattern_terms, radial_profile, time_of_flight,
-                      write_pgm)
+from .grid import (Grid2D, LadderState, save_field, write_sidecar,
+                   _fft2_stack, _high_k_share)
+from .imaging import (_RESOLVED_SHARE_LIMIT, ImagePlane, absorption_image,
+                      analytic_pattern, pattern_terms, radial_profile,
+                      time_of_flight, write_pgm)
 from .optics import phase_readout_pattern, scaled_coupling
 from .units import UnitSystem
 
@@ -327,8 +328,16 @@ def _azimuthal_minima(image: ImagePlane, annulus_m: tuple[float, float]
 
 def _start(ctx: _Context, bundle: _Bundle) -> LadderState:
     """The ground state on order 0, every scenario's start; its image is
-    the bundle's first after the config echo."""
+    the bundle's first after the config echo.  At DEBUG, logs the ground
+    state's high-k share next to the limit under which a flight's window
+    runs on the in-trap grid."""
     state = ctx.initial_state()
+    if logger.isEnabledFor(logging.DEBUG):
+        share = _high_k_share(_fft2_stack(ctx.ground.field.values.copy()),
+                              ctx.grid)
+        logger.debug("ground state on the %dx%d grid: high-k share %.3g "
+                     "(in-trap window limit %g)", ctx.grid.n_y,
+                     ctx.grid.n_z, share, _RESOLVED_SHARE_LIMIT)
     bundle.add_image("ground_density.pgm",
                      ctx.display_image(state, (0,), "ground_density"))
     return state

@@ -73,7 +73,8 @@ class TestThomasFermi:
                                                        grid128, units):
         gs = thomas_fermi_profile(trap, g2d, grid128)
         mu_si = 0.5 * units.mass_kg * (2 * math.pi * NU_Y * RADIUS_Y) ** 2
-        assert gs.chemical_potential_j == pytest.approx(mu_si, rel=1e-12)
+        assert gs.chemical_potential_j == pytest.approx(mu_si, rel=1e-12,
+                                                        abs=0)
         assert gs.tf_radii_m[0] == pytest.approx(RADIUS_Y, rel=1e-12)
         # nu_z = sqrt(2) nu_y, so R_z = R_y / sqrt(2): the 30/21 um pair.
         assert gs.tf_radii_m[1] == pytest.approx(RADIUS_Y / math.sqrt(2.0),
@@ -111,7 +112,7 @@ class TestThomasFermi:
         b = thomas_fermi_profile(TrapSpec(2 * NU_Y, 2 * NU_Z), g2d / 4.0,
                                  grid128)
         assert b.chemical_potential_j == pytest.approx(
-            a.chemical_potential_j, rel=1e-12)
+            a.chemical_potential_j, rel=1e-12, abs=0)
         assert b.tf_radii_m[0] == pytest.approx(a.tf_radii_m[0] / 2, rel=1e-12)
         assert b.tf_radii_m[1] == pytest.approx(a.tf_radii_m[1] / 2, rel=1e-12)
 
@@ -130,8 +131,9 @@ class TestGaussianSeed:
     def test_noninteracting_energy(self, trap, grid128):
         gs = gaussian_profile(trap, grid128)
         e0 = math.pi * hbar * (NU_Y + NU_Z)
-        assert gpe_energy(gs.field, trap, 0.0) == pytest.approx(e0, rel=1e-9)
-        assert gs.chemical_potential_j == pytest.approx(e0, rel=1e-12)
+        assert gpe_energy(gs.field, trap, 0.0) == pytest.approx(e0, rel=1e-9,
+                                                                abs=0)
+        assert gs.chemical_potential_j == pytest.approx(e0, rel=1e-12, abs=0)
 
     def test_unit_norm(self, trap, grid128):
         assert gaussian_profile(trap, grid128).field.norm() == pytest.approx(
@@ -147,7 +149,8 @@ class TestRelaxation:
         monkeypatch.setattr(condensate, "_RELAX_DT_S", 3e-6)
         out = relax_ground_state(seed, trap, 0.0)
         e0 = math.pi * hbar * (NU_Y + NU_Z)
-        assert gpe_energy(out.field, trap, 0.0) == pytest.approx(e0, rel=1e-3)
+        assert gpe_energy(out.field, trap, 0.0) == pytest.approx(e0, rel=1e-3,
+                                                                 abs=0)
 
     def test_energy_never_increases(self, trap, g2d, grid128, monkeypatch):
         seed = thomas_fermi_profile(trap, g2d, grid128)
@@ -165,7 +168,7 @@ class TestRelaxation:
                                             grid128):
         analytic = thomas_fermi_profile(trap, g2d, grid128)
         assert relaxed.chemical_potential_j == pytest.approx(
-            analytic.chemical_potential_j, rel=0.05)
+            analytic.chemical_potential_j, rel=0.05, abs=0)
         assert relaxed.field.norm() == pytest.approx(1.0, abs=1e-9)
 
     def test_relaxed_energy_below_seed(self, relaxed, trap, g2d, grid128):
@@ -247,6 +250,20 @@ class TestRelaxation:
         with pytest.raises(ConvergenceError) as checked:
             relax_ground_state(seed, trap, g2d)
         assert str(checked.value) == str(every_step.value)
+
+    def test_budget_is_imaginary_time_not_steps(self, trap, g2d, units,
+                                                 monkeypatch):
+        # 32^2 over 10 um has the pitch at which 2 us halves once (dt *
+        # ksq_max 0.56 at 2 us); over 20 um it does not.  The halved step
+        # gets twice the steps, the same flow time.
+        monkeypatch.setattr(condensate, "_RELAX_MAX_STEPS", 32)
+        monkeypatch.setattr(condensate, "_RELAX_TOL", 0.0)
+        for extent, budget in ((20e-6, 32), (10e-6, 64)):
+            grid = Grid2D(32, 32, extent, extent, units)
+            seed = thomas_fermi_profile(trap, g2d, grid)
+            with pytest.raises(ConvergenceError,
+                               match=f"after {budget} steps;"):
+                relax_ground_state(seed, trap, g2d)
 
     @pytest.mark.parametrize("option", ["dt_s", "tol", "max_steps",
                                         "energy_log"])
@@ -381,7 +398,7 @@ class TestRelaxationMatchesReference:
         diff = out.field.values - reference.field.values
         assert math.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell_area) < 1e-12
         assert out.chemical_potential_j == pytest.approx(
-            reference.chemical_potential_j, rel=1e-12)
+            reference.chemical_potential_j, rel=1e-12, abs=0)
 
     def test_gpe_energy_of_a_vortex(self, trap, g2d, grid64, units):
         # charge 1 with a linear core: (y + i z) times the Thomas-Fermi
@@ -393,7 +410,8 @@ class TestRelaxationMatchesReference:
         e_kin, e_pot, e_int2 = _reference_split_energies(
             field.values, trap.potential_internal(grid64), g, grid64)
         assert gpe_energy(field, trap, g2d) == pytest.approx(
-            units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12)
+            units.energy_to_si(e_kin + e_pot + 0.5 * e_int2), rel=1e-12,
+            abs=0)
 
 
 def _relax_with_record(seed, trap, g, caplog):

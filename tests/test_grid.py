@@ -306,11 +306,19 @@ class TestSplitStepFftCount:
         assert len(fft_calls) == 2 * len(steps) + 2
 
     @staticmethod
-    def fly(grid32, trap, units, caplog, empty_rows):
+    def fly(grid32, trap, units, caplog, empty_rows, resolved=False):
         """Time of flight of a Thomas-Fermi cloud spread over orders -1..1,
-        with the given rows empty; returns the window's step count."""
+        with the given rows empty; returns the window's step count.  With
+        resolved, the cloud is a Gaussian of 2.5 pitches at the g of a
+        20 um cloud instead, whose window runs on the in-trap grid (high-k
+        share 2.3e-7, in-trap boundary mass 1.1-1.6e-14)."""
         g2d = g2d_from_tf_radius(trap, 30e-6, units)
         cloud = thomas_fermi_profile(trap, g2d, grid32).field.values
+        if resolved:
+            w = 2.5 * grid32.dy
+            cloud = np.exp(-(grid32.mesh_y**2 + grid32.mesh_z**2)
+                           / (2.0 * w * w)) / (math.sqrt(math.pi) * w)
+            g2d = g2d_from_tf_radius(trap, 20e-6, units)
         state = LadderState(grid32, 1)
         state.values[:] = cloud / math.sqrt(3.0)
         state.values[empty_rows] = 0.0
@@ -320,6 +328,8 @@ class TestSplitStepFftCount:
         n_steps = int(re.search(r"window of (\d+) steps",
                                 record.getMessage()).group(1))
         assert n_steps > 1
+        window_grid = "in-trap 32x32" if resolved else "padded 64x64"
+        assert f"orders on the {window_grid} grid;" in record.getMessage()
         return n_steps
 
     @pytest.mark.parametrize("pruned", [False, True])
@@ -333,3 +343,15 @@ class TestSplitStepFftCount:
         # each pruned block at an end of the ladder is one forward call
         n_steps = self.fly(grid32, trap, units, caplog, [0, 2])
         assert len(fft_calls) == 2 * n_steps + 4
+
+    @pytest.mark.parametrize("empty_rows", [[], [0], [0, 2]])
+    def test_time_of_flight_on_the_in_trap_grid_costs_2n_plus_5(
+            self, grid32, trap, units, fft_calls, caplog, empty_rows):
+        # the padded transform the switch reads, the window's 2n + 1 and
+        # its inverse on the in-trap grid, then one forward call for every
+        # row, pruned or not, and the inverse on the padded grid
+        n_steps = self.fly(grid32, trap, units, caplog, empty_rows,
+                           resolved=True)
+        assert len(fft_calls) == 2 * n_steps + 5
+        assert [shape[-2:] for _, _, shape in fft_calls] == (
+            [(64, 64)] + [(32, 32)] * (2 * n_steps + 2) + [(64, 64)] * 2)

@@ -59,6 +59,39 @@ def thomas_fermi_cloud(grid):
     return thomas_fermi_profile(trap, g2d, grid).field.values, g2d
 
 
+@pytest.fixture(scope="module")
+def resolved_cloud(units):
+    """A relaxed 15 um cloud on 64^2 over 80 um, where the grid resolves
+    it (high-k share 1.5e-6), and its g2d."""
+    grid = Grid2D(64, 64, 80e-6, 80e-6, units)
+    trap = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
+    g2d = g2d_from_tf_radius(trap, 15e-6, units)
+    seed = thomas_fermi_profile(trap, g2d, grid)
+    return relax_ground_state(seed, trap, g2d).field, g2d
+
+
+def vortex_split(grid, cloud, waist_m):
+    """cloud with a charge-1 order split off it point by point, as a Raman
+    pulse does, by a turn of 1 rad at its peak on a ring of waist_m."""
+    r = np.hypot(grid.mesh_y, grid.mesh_z) * grid.units.length_m / waist_m
+    turn = math.sqrt(2.0 * math.e) * r * np.exp(-r * r)  # peak 1 rad
+    state = LadderState(grid, 1)
+    state.values[state.index(0)] = cloud * np.cos(turn)
+    state.values[state.index(1)] = cloud * np.sin(turn) * np.exp(
+        1j * np.arctan2(grid.mesh_z, grid.mesh_y))
+    return state
+
+
+def flight_record(caplog, *args, **kwargs):
+    """time_of_flight(*args, **kwargs) and the message of its DEBUG
+    record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
+        out = time_of_flight(*args, **kwargs)
+    (record,) = caplog.records
+    return out, record.getMessage()
+
+
 def mean_rho_sq(state):
     dens = state.total_density()
     g = state.grid
@@ -248,18 +281,10 @@ class TestTimeOfFlight:
         assert message.endswith("(limit 1e-06)")
 
     def test_window_steps_follow_the_meanfield_phase_not_the_pitch(
-            self, units, monkeypatch):
+            self, units, caplog):
         # Same cloud and extent, pitch halved: the Nyquist kinetic rate
         # grows 4x, the window's step count must not.
         window_s = 5e-4
-        steps = []
-        window = imaging._strang_spectrum
-
-        def counted(values, ksq, dt, n_steps, g, *args):
-            steps.append(n_steps)
-            return window(values, ksq, dt, n_steps, g, *args)
-
-        monkeypatch.setattr(imaging, "_strang_spectrum", counted)
         expected = []
         for points in (64, 128):
             grid = Grid2D(points, points, 160e-6, 160e-6, units)
@@ -270,7 +295,12 @@ class TestTimeOfFlight:
                      * units.coupling2d_to_internal(g2d)
                      * state.total_density().max())
             expected.append(math.ceil(phase / imaging.WINDOW_PHASE_PER_STEP))
-            time_of_flight(state, window_s, window_s, g2d)
+            with caplog.at_level(logging.DEBUG,
+                                 logger="ramanvortex.imaging"):
+                time_of_flight(state, window_s, window_s, g2d)
+        steps = [int(re.search(r"window of (\d+) steps",
+                               record.getMessage()).group(1))
+                 for record in caplog.records]
         assert steps == expected
         assert steps[0] == steps[1]
 
@@ -281,13 +311,7 @@ class TestTimeOfFlight:
         # any order, after the whole flight, against 8x finer window
         # steps: within 1e-6 of the image peak.
         cloud, g2d = thomas_fermi_cloud(grid64)
-        waist = 85e-6 / units.length_m
-        r = np.hypot(grid64.mesh_y, grid64.mesh_z) / waist
-        turn = math.sqrt(2.0 * math.e) * r * np.exp(-r * r)  # peak 1 rad
-        state = LadderState(grid64, 1)
-        state.values[state.index(0)] = cloud * np.cos(turn)
-        state.values[state.index(1)] = cloud * np.sin(turn) * np.exp(
-            1j * np.arctan2(grid64.mesh_z, grid64.mesh_y))
+        state = vortex_split(grid64, cloud, 85e-6)
 
         def flown_densities():
             out = time_of_flight(state, 6e-3, 5e-4, g2d)
@@ -329,6 +353,56 @@ class TestTimeOfFlight:
         error = np.abs(pruned - unpruned).max()
         assert error <= phi_p * unpruned.max()
         assert error <= budget * unpruned.max()
+
+    def test_resolved_cloud_runs_the_window_on_the_in_trap_grid(
+            self, resolved_cloud, caplog, monkeypatch):
+        # Every order's density after the whole flight, with the window on
+        # the 64^2 in-trap grid and on the 128^2 padded one: measured
+        # 2.7e-8 of the image peak apart.
+        cloud, g2d = resolved_cloud
+        state = vortex_split(cloud.grid, cloud.values, 30e-6)
+        out, message = flight_record(caplog, state, 6e-3, 5e-4, g2d)
+        assert "over 2 of 3 orders on the in-trap 64x64 grid;" in message
+        share = float(re.search(r"high-k share (\S+) \(limit 1e-05\)",
+                                message).group(1))
+        assert 0.0 < share <= imaging._RESOLVED_SHARE_LIMIT
+        assert out.grid.shape == (128, 128)
+        monkeypatch.setattr(imaging, "_RESOLVED_SHARE_LIMIT", 0.0)
+        padded, message = flight_record(caplog, state, 6e-3, 5e-4, g2d)
+        assert "on the padded 128x128 grid;" in message
+        assert f"high-k share {share:.3g}" in message
+        in_trap, reference = (np.abs(s.values) ** 2 for s in (out, padded))
+        assert np.abs(in_trap - reference).max() <= 1e-6 * reference.max()
+
+    def test_thomas_fermi_cloud_keeps_the_padded_window(self, grid64,
+                                                        caplog):
+        # its kinked edge puts 4.6e-3 of the norm at high k (64^2) and
+        # would wrap round the in-trap box
+        cloud, g2d = thomas_fermi_cloud(grid64)
+        state = vortex_split(grid64, cloud, 85e-6)
+        _, message = flight_record(caplog, state, 6e-3, 5e-4, g2d)
+        assert "over 2 of 3 orders on the padded 128x128 grid;" in message
+        share = float(re.search(r"high-k share (\S+) \(limit 1e-05\)",
+                                message).group(1))
+        assert share > 100 * imaging._RESOLVED_SHARE_LIMIT
+        # the in-trap window was not run
+        assert "in-trap boundary mass fraction nan (limit 1e-13)" in message
+
+    def test_window_that_reaches_the_in_trap_edge_runs_padded(
+            self, resolved_cloud, caplog, monkeypatch):
+        # 6 ms of mean field carry the resolved cloud to the in-trap edge
+        # (boundary mass 4e-12 there), so the padded window runs after all,
+        # from the spectrum the switch read: bitwise the padded result
+        cloud, g2d = resolved_cloud
+        state = LadderState.from_single_order(cloud, 1)
+        out, message = flight_record(caplog, state, 8e-3, 6e-3, g2d)
+        assert "on the padded 128x128 grid;" in message
+        edge = float(re.search(r"in-trap boundary mass fraction (\S+) "
+                               r"\(limit 1e-13\)", message).group(1))
+        assert edge > imaging._WRAP_MASS_LIMIT
+        monkeypatch.setattr(imaging, "_RESOLVED_SHARE_LIMIT", 0.0)
+        padded, _ = flight_record(caplog, state, 8e-3, 6e-3, g2d)
+        assert out.values.tobytes() == padded.values.tobytes()
 
     def test_negative_time_and_thin_padding_rejected(self, grid64):
         state = gaussian_state(grid64, 10e-6)

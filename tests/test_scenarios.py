@@ -2,6 +2,7 @@
 
 import gc
 import json
+import logging
 import math
 import weakref
 from dataclasses import replace
@@ -119,6 +120,29 @@ def assert_same_bundle(a, b):
             assert a == b
             continue
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+class TestStartRecord:
+    def test_logs_the_ground_states_high_k_share(self, tmp_path, caplog):
+        config = small("custom", [], tmp_path,
+                       imaging={"time_of_flight_s": 0.0})
+        quiet = run_scenario(config)
+        config["output_dir"] = str(tmp_path / "logged")
+        with caplog.at_level(logging.DEBUG, logger="ramanvortex.scenarios"):
+            logged = run_scenario(config)
+        (message,) = [r.getMessage() for r in caplog.records
+                      if "high-k share" in r.getMessage()]
+        cfg = ExperimentConfig.from_mapping(config)
+        grid = cfg.make_grid()
+        spec = np.fft.fft2(cfg.ground_state(grid).field.values, norm="ortho")
+        cut = 0.5 * math.pi / max(grid.dy, grid.dz)
+        power = np.abs(spec) ** 2
+        share = power[grid.mesh_ksq > cut * cut].sum() / power.sum()
+        assert message == (f"ground state on the 64x64 grid: high-k share "
+                           f"{share:.3g} (in-trap window limit 1e-05)")
+        # the record moves nothing
+        assert_same_bundle((Path(quiet.output_dir), quiet.artifacts),
+                           (Path(logged.output_dir), logged.artifacts))
 
 
 def _tag(n):

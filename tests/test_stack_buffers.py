@@ -25,7 +25,8 @@ from ramanvortex.config import ExperimentConfig
 from ramanvortex.dynamics import (_LadderPropagator, _resolve_steps,
                                   detuning_ladder, run_sequence)
 from ramanvortex.grid import (Grid2D, LadderState, _axial_phase, _density,
-                              _fft2_stack, _ifft2_stack, _strang_evolve)
+                              _fft2_stack, _ifft2_stack, _strang_evolve,
+                              _strang_steps)
 from ramanvortex.imaging import time_of_flight
 from ramanvortex.optics import BeamSpec, coupling_map
 
@@ -204,6 +205,36 @@ class TestSplitStepLoop:
         out = _strang_evolve(state.values.copy(), grid32.mesh_ksq, dt,
                              n_steps, g, potential)
         assert_identical(out, expected)
+
+    def test_loop_makes_no_plane_after_its_first_steps(self, trap, g2d,
+                                                       units):
+        # A pulse's loop at 256^2, from step 2 to step 20: the stack, the
+        # density, term and phase planes and the ladder's blocks are all
+        # held, so nothing as large as one real plane (512 KiB) is made.
+        # numpy's in-place broadcasts take a 128 KiB buffer of their own,
+        # which is why the grid is not smaller.
+        grid = Grid2D(256, 256, 160e-6, 160e-6, units)
+        state = ladder_mix(grid, trap, g2d, 1)
+        coupling = coupling_map(BeamSpec("lg", 40e-6, winding=1),
+                                BeamSpec("gaussian", 175e-6), 2.0e5, 0.7,
+                                grid)
+        dt = units.time_to_internal(2e-7)
+        ladder = _LadderPropagator(coupling, detuning_ladder(4.0, 1), 1, dt,
+                                   units)
+        steps = _strang_steps(state.values.copy(), grid.mesh_ksq, 1j * dt,
+                              units.coupling2d_to_internal(g2d),
+                              trap.potential_internal(grid), ladder)
+        for _ in range(3):
+            next(steps)
+        tracemalloc.start()
+        try:
+            for _ in range(18):
+                next(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 8 * grid.n_y * grid.n_z
+        assert peak < 0.5 * plane, peak / plane
 
     def test_density_matches_its_numpy_form(self, rng):
         values = (rng.standard_normal((5, 32, 64))
