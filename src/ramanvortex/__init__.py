@@ -9,9 +9,9 @@ from .units import (PhysicalParams, UnitSystem, make_recoil_units,
 from .grid import (Grid2D, TransverseField, LadderState, save_field,
                    load_field)
 from .errors import (SimulationError, ConfigError, GuardError,
-                     TruncationError, StepSizeError, ConvergenceError,
-                     GridOverflowError, DensityFloorError, ContrastError,
-                     AmbiguousHoleError, CalibrationError)
+                     TruncationError, ConvergenceError, GridOverflowError,
+                     DensityFloorError, ContrastError, AmbiguousHoleError,
+                     CalibrationError)
 from .optics import (MAX_WINDING, BeamSpec, CouplingMap, coupling_map,
                      uniform_coupling, phase_readout_pattern)
 from .condensate import (TrapSpec, GroundState, g2d_from_tf_radius,
@@ -34,9 +34,8 @@ __all__ = [
     "SODIUM_MASS_KG", "SODIUM_WAVELENGTH_M",
     "Grid2D", "TransverseField", "LadderState", "save_field", "load_field",
     "SimulationError", "ConfigError", "GuardError", "TruncationError",
-    "StepSizeError", "ConvergenceError", "GridOverflowError",
-    "DensityFloorError", "ContrastError", "AmbiguousHoleError",
-    "CalibrationError",
+    "ConvergenceError", "GridOverflowError", "DensityFloorError",
+    "ContrastError", "AmbiguousHoleError", "CalibrationError",
     "MAX_WINDING", "BeamSpec", "CouplingMap", "coupling_map",
     "uniform_coupling", "phase_readout_pattern",
     "TrapSpec", "GroundState", "g2d_from_tf_radius", "thomas_fermi_profile",

@@ -24,11 +24,10 @@ that depends on the point only through |omega|, so it is diagonalised
 once per distinct |omega|.  Each step then applies the unitary and the
 trap + meanfield phase together, in place, over cache-sized blocks of
 points.  The only splitting error left is the soft kinetic commutator, so
-the default step is set by the 0.1 rad guard on kinetic and potential
-phase rates and by the cap MAX_INTERNAL_STEP, not by omega or D_n.  Each
-pulse references the coupling phase at its own start; only phase
-differences between pulses are physical, matching how the beams are
-actually used.
+the step is set by the 0.1 rad guard on kinetic and potential phase
+rates and by the cap MAX_INTERNAL_STEP, not by omega or D_n.  Each pulse
+references the coupling phase at its own start; only phase differences
+between pulses are physical, matching how the beams are actually used.
 
 Free evolution (the delay after a pulse, the last one being the hold before
 imaging) is the same loop without the ladder, followed by the exact axial
@@ -47,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condensate import GroundState, TrapSpec
-from .errors import (CalibrationError, SimulationError, StepSizeError,
-                     TruncationError)
+from .errors import CalibrationError, SimulationError, TruncationError
 from .grid import (MAX_PHASE_PER_STEP, LadderState, _axial_phase,
                    _strang_evolve)
 from .optics import CouplingMap, scaled_coupling
@@ -106,36 +104,25 @@ def detuning_ladder(delta_nu_recoils: float, n_max: int) -> np.ndarray:
 
 
 def _resolve_steps(grid, rho_max: float, potential, g: float,
-                   t_total: float, dt_s) -> tuple[int, float, float, str]:
+                   t_total: float) -> tuple[int, float, float, str]:
     """Step count and internal dt honoring the phase guard and the cap,
     the stiffest split phase per step at entry, and which limit set dt.
 
     The guarded rate is the larger of the kinetic rate at the grid's
     Nyquist corner and the trap plus mean-field rate at entry, where the
-    total density peaks at rho_max.
+    total density peaks at rho_max.  A caller that needs a finer step
+    lowers MAX_INTERNAL_STEP.
     """
-    units = grid.units
     v_max = 0.0 if potential is None else float(potential.max())
     # NaN-propagating order: max(nan, x) is nan, max(x, nan) is x
     rate = max(v_max + g * rho_max, float(grid.mesh_ksq.max()))
     if not math.isfinite(rate):
         raise SimulationError(
             f"split phase rate is {rate}: the state holds NaN or inf")
-    if dt_s is None:
-        guard = MAX_PHASE_PER_STEP / max(rate, 1e-12)
-        dt_limit = min(MAX_INTERNAL_STEP, guard)
-        set_by = ("MAX_INTERNAL_STEP" if MAX_INTERNAL_STEP <= guard
-                  else "the phase guard")
-    else:
-        dt_limit = units.time_to_internal(dt_s)
-        if not dt_limit > 0.0:
-            raise StepSizeError(f"dt = {dt_s} s is not > 0")
-        if dt_limit * rate > MAX_PHASE_PER_STEP:
-            raise StepSizeError(
-                f"dt = {dt_s} s advances the stiffest split phase by "
-                f"{dt_limit * rate:.3g} rad > {MAX_PHASE_PER_STEP} per "
-                f"substep")
-        set_by = "the given dt_s"
+    guard = MAX_PHASE_PER_STEP / max(rate, 1e-12)
+    dt_limit = min(MAX_INTERNAL_STEP, guard)
+    set_by = ("MAX_INTERNAL_STEP" if MAX_INTERNAL_STEP <= guard
+              else "the phase guard")
     n_steps = max(1, math.ceil(t_total / dt_limit))
     dt = t_total / n_steps
     return n_steps, dt, dt * rate, set_by
@@ -309,8 +296,8 @@ def _check_edges(edges: dict[int, float]):
 
 
 def _run_stage(state: LadderState, duration_s: float, trap: TrapSpec | None,
-               g2d_j_m2: float, pulse: PulseSpec | None = None,
-               dt_s: float | None = None) -> LadderState:
+               g2d_j_m2: float, pulse: PulseSpec | None = None
+               ) -> LadderState:
     """The one runner of pulses and delays: a pulse with its ladder or,
     with pulse None, a delay with its axial phase.  The total density read
     before the loop gives rho_max and the norm before; the populations
@@ -326,7 +313,7 @@ def _run_stage(state: LadderState, duration_s: float, trap: TrapSpec | None,
     rho = state.total_density()
     norm_before = float(rho.sum() * grid.cell_area)
     n_steps, dt, phase, set_by = _resolve_steps(
-        grid, float(rho.max()), potential, g, t_total, dt_s)
+        grid, float(rho.max()), potential, g, t_total)
     del rho
     ladder = None if pulse is None else _LadderPropagator(
         pulse.coupling, detuning_ladder(pulse.delta_nu_recoils, state.n_max),
@@ -358,14 +345,15 @@ def _run_stage(state: LadderState, duration_s: float, trap: TrapSpec | None,
 
 
 def evolve_pulse(state: LadderState, pulse: PulseSpec, trap: TrapSpec,
-                 g2d_j_m2: float, dt_s: float | None = None) -> LadderState:
+                 g2d_j_m2: float) -> LadderState:
     """Apply one square pulse; returns a new state, input untouched.
-    Logs one DEBUG record and runs the norm and edge guards (_run_stage).
+    The step follows from _resolve_steps.  Logs one DEBUG record and runs
+    the norm and edge guards (_run_stage).
     """
     if not pulse.coupling.omega.grid.same_geometry(state.grid):
         raise SimulationError("coupling map and state use different grids")
     return _run_stage(state, pulse.duration_s,
-                      trap if pulse.trap_on else None, g2d_j_m2, pulse, dt_s)
+                      trap if pulse.trap_on else None, g2d_j_m2, pulse)
 
 
 def evolve_free(state: LadderState, duration_s: float, trap: TrapSpec | None,
@@ -388,7 +376,7 @@ def run_sequence(state: LadderState, pulses: tuple[PulseSpec, ...],
                  ) -> tuple[LadderState, list[dict]]:
     """Apply the pulses in order, each followed by its delay; log
     populations after each pulse, before its delay.  Pulses and delays
-    take the automatic step of _resolve_steps and log as in _run_stage.
+    take the step of _resolve_steps and log as in _run_stage.
 
     One log record per pulse, in order, carrying delta_nu_recoils,
     duration_s and the per-order populations.  Slicing the pulses splits a

@@ -1,8 +1,8 @@
 """Exception hierarchy for the simulator.
 
 Three families matter to callers: configuration problems (bad schema,
-unknown keys), numerical guard trips (truncation, step size, convergence,
-grid overflow, unusable diagnostics input), and plain I/O failures.  The
+unknown keys), numerical guard trips (truncation, convergence, grid
+overflow, unusable diagnostics input), and plain I/O failures.  The
 command line maps them to exit codes 2, 3 and 4 respectively.
 """
 
@@ -35,10 +35,6 @@ class TruncationError(GuardError):
     Raised after a pulse when the population of the +n_max or the -n_max
     order exceeds dynamics.EDGE_POPULATION_LIMIT. Raise n_max and rerun.
     """
-
-
-class StepSizeError(GuardError):
-    """Requested time step violates the per-substep phase budget."""
 
 
 class ConvergenceError(GuardError):

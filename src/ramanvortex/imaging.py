@@ -71,11 +71,15 @@ _PRUNE_BUDGET = 1e-6
 # 5.8e-8 on double_charge_128.  So the window runs on the in-trap grid, a
 # quarter of the points, only for a state that _RESOLVED_SHARE_LIMIT
 # calls resolved and whose window stays within _WRAP_MASS_LIMIT of the
-# in-trap edge.
+# in-trap edge.  The 2x box keeps the 1e-6 budget only for the
+# workloads' short windows (40 and 100 us): the presets' 500 us windows
+# on it miss by 1.4-4.3e-5 at 64^2, 1.1-4.0e-5 at 128^2 and 2.8e-6-1.2e-5
+# at 256^2 on Thomas-Fermi states, and by 2.2-9.0e-6 on relaxed states at
+# 64^2 (the table at _RESOLVED_SHARE_LIMIT, "/ padded" column).
 _BOUNDARY_MASS_LIMIT = 1e-6
 
 # Largest high-k share (grid._high_k_share: the share of the norm at |k|
-# above half the Nyquist radius, read off the window rows' padded
+# above half the Nyquist radius, read off the window rows' in-trap
 # spectrum) at which the mean-field window runs on the in-trap grid.  A
 # smooth state's spectrum decays fast and a kinked one's slowly
 # (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 4), and the kink
@@ -86,19 +90,22 @@ _BOUNDARY_MASS_LIMIT = 1e-6
 # a charge-1 order split off it, flown as the presets, on 64^2 over
 # 80-140 um: the share, then the largest density error of any order
 # against a window on an 8x box (4x at 256^2), in units of the image
-# peak, with the window in trap / on the 2x padded grid.
-#   relaxed, 256^2 presets        7.6-8.5e-11    7.2e-13-1.8e-12 /
+# peak, with the window in trap / on the 2x padded grid.  The shares of
+# the 256^2 presets (*) are read off the padded spectrum, which sampled
+# at every other wavenumber is the in-trap one; everywhere both were
+# read, the in-trap share is 0.1-6% the larger.
+#   relaxed, 256^2 presets (*)    7.6-8.5e-11    7.2e-13-1.8e-12 /
 #                                                1.1-1.9e-13
-#   relaxed 15 um, 64^2, 80 um    1.5e-6         2.5e-8 / 2.2e-9
-#   relaxed, 128^2 presets and    3.0-3.5e-6     4.1e-8-1.1e-7 /
+#   relaxed 15 um, 64^2, 80 um    1.6e-6         2.5e-8 / 2.2e-9
+#   relaxed, 128^2 presets and    3.1-3.6e-6     4.1e-8-1.1e-7 /
 #     double_charge_128                          0.95-2.5e-8
-#   relaxed 15 um, 64^2, 90 um    7.9e-6         7.7e-8 / 9.7e-9
-#   relaxed 15 um, 64^2, 100 um   2.1e-5         2.4e-7 / 6.3e-8
+#   relaxed 15 um, 64^2, 90 um    8.2e-6         7.7e-8 / 9.7e-9
+#   relaxed 15 um, 64^2, 100 um   2.2e-5         2.4e-7 / 6.3e-8
 #   relaxed 15 um, 64^2, 120 um   1.5e-4         9.1e-7 / 1.9e-7
 #   Thomas-Fermi, 256^2 presets   2.8-2.9e-4     1.9e-5-1.1e-4 /
-#     and vortex_256                             9.5e-7-1.2e-5
-#   relaxed 15 um, 64^2, 140 um   4.2e-4         2.1e-6 / 7.2e-7
-#   relaxed, 64^2 presets         5.5-6.3e-4     8.8e-6-3.8e-5 / 2.2-9.0e-6
+#     (*) and vortex_256                         9.5e-7-1.2e-5
+#   relaxed 15 um, 64^2, 140 um   4.3e-4         2.1e-6 / 7.2e-7
+#   relaxed, 64^2 presets         5.6-6.5e-4     8.8e-6-3.8e-5 / 2.2-9.0e-6
 #   Thomas-Fermi, 128^2 presets   1.2e-3         5.3e-5-1.7e-4 / 1.1-4.0e-5
 #   Thomas-Fermi, 64^2 presets    4.4-4.6e-3     6.1e-5-1.9e-4 / 1.4-4.3e-5
 # Every state at or below 1e-5 meets the 1e-6 budget by 8x or more; the
@@ -212,17 +219,17 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     window's whole mean-field phase, p the pruned share of the norm), so
     the window's orders stay a contiguous range of rows.
 
-    The window runs on one of two grids.  Its rows are embedded in the
-    padded stack and the padded window's first transform gives their
-    spectrum.  If the share of its norm at |k| above half the Nyquist
-    radius is within _RESOLVED_SHARE_LIMIT, the window runs on the
-    in-trap grid instead, and its rows are embedded after it, unless
-    more than _WRAP_MASS_LIMIT of their norm then lies within two samples
-    of the in-trap edge, where it has wrapped round; the padded window
-    then runs on from the spectrum it began with.  Costs 2 n + 2 stack
-    FFTs for n window steps on the padded grid, plus one per block of
-    pruned rows, and 2 n + 5 with the window on the in-trap grid, where
-    2 n + 2 of them run.
+    The window runs on one of two grids.  It starts on the in-trap grid,
+    where its first transform gives the spectrum of its rows.  If the
+    share of their norm at |k| above half the Nyquist radius is within
+    _RESOLVED_SHARE_LIMIT, the window runs on there and its rows are
+    embedded in the padded stack after it, unless more than
+    _WRAP_MASS_LIMIT of their norm then lies within two samples of the
+    in-trap edge, where it has wrapped round; otherwise the window runs
+    on the padded grid.  Costs 2 n + 3 stack FFTs for n window steps on
+    the padded grid, one of them the in-trap transform the share is read
+    from, plus one per block of pruned rows, and 2 n + 4 with the window
+    on the in-trap grid, where 2 n + 2 of them run.
 
     Returns a new state on the padded grid with each order's axial
     displacement recorded for imaging.  Logs one DEBUG record per call:
@@ -291,23 +298,23 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
     values = _embed(state, padded)
     window_grid, share, edge = padded, math.nan, math.nan
     if hi > lo:
-        # The padded window runs in place on the window's rows; its first
+        # The in-trap window starts on the window's rows; its first
         # transform gives the spectrum whose high-k share picks the grid.
-        steps = _strang_steps(values[lo:hi], padded.mesh_ksq, 1j * dt, g)
-        share = _high_k_share(next(steps)[0], padded)
+        steps = _strang_steps(state.values[lo:hi].copy(), grid.mesh_ksq,
+                              1j * dt, g)
+        share = _high_k_share(next(steps)[0], grid)
         if share <= _RESOLVED_SHARE_LIMIT:
-            rows = _ifft2_stack(_strang_spectrum(
-                state.values[lo:hi].copy(), grid.mesh_ksq, dt, n_steps, g))
+            rows = _ifft2_stack(_strang_finish(steps, n_steps))
             # a cloud that reached the in-trap edge has wrapped round
             edge = _boundary_mass_fraction(_density(rows))
             if edge <= _WRAP_MASS_LIMIT:
                 window_grid = grid
-                values[lo:hi] = 0.0
                 values[(slice(lo, hi),) + _inner(padded, grid)] = rows
             del rows
-        if window_grid is padded:
-            _strang_finish(steps, n_steps)
         del steps
+        if window_grid is padded:
+            # in place on the window's rows of the padded stack
+            _strang_spectrum(values[lo:hi], padded.mesh_ksq, dt, n_steps, g)
         flight[lo:hi] -= t_window
     if t > 0.0:
         # the rows in position space join the spectrum, each block in place

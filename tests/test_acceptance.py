@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from ramanvortex import dynamics
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
                                     relax_ground_state, thomas_fermi_profile)
 from ramanvortex.diagnostics import vortex_report
@@ -121,12 +122,14 @@ def test_criterion_03_rabi_oracle(units, grid64, trap):
         seg_s = units.time_to_si(t_total_int / n_segments)
         pulse = PulseSpec(uniform_coupling(rate, grid64), delta, seg_s,
                           trap_on=False)
-        dt_s = units.time_to_si(dt_int)
         current, out = state, []
-        for k in range(n_segments):
-            current = evolve_pulse(current, pulse, trap, 0.0, dt_s)
-            out.append((t_total_int * (k + 1) / n_segments,
-                        current.population(1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "MAX_INTERNAL_STEP",
+                       units.time_to_internal(units.time_to_si(dt_int)))
+            for k in range(n_segments):
+                current = evolve_pulse(current, pulse, trap, 0.0)
+                out.append((t_total_int * (k + 1) / n_segments,
+                            current.population(1)))
         return out
 
     omega = 0.004
@@ -276,8 +279,10 @@ def test_criterion_09_numerical_hygiene(units, grid64, relaxed64, trap, g2d):
     coarse = evolve_pulse(state, pulse, trap, g2d)
     drift = abs(sum(coarse.population(n) for n in coarse.orders) - norm0)
 
-    fine = evolve_pulse(state, pulse, trap, g2d,
-                        dt_s=units.time_to_si(0.015))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MAX_INTERNAL_STEP",
+                   units.time_to_internal(units.time_to_si(0.015)))
+        fine = evolve_pulse(state, pulse, trap, g2d)
     diff = coarse.values - fine.values
     l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * grid64.cell_area))
 

@@ -20,8 +20,7 @@ import pytest
 from scipy.constants import hbar
 
 from ramanvortex import condensate
-from ramanvortex.errors import (ConvergenceError, SimulationError,
-                                StepSizeError)
+from ramanvortex.errors import ConvergenceError, SimulationError
 from ramanvortex.condensate import (GroundState, TrapSpec, _tf_radii_m,
                                     g2d_from_tf_radius, gaussian_profile,
                                     gpe_energy, relax_ground_state,
@@ -75,10 +74,10 @@ class TestThomasFermi:
         mu_si = 0.5 * units.mass_kg * (2 * math.pi * NU_Y * RADIUS_Y) ** 2
         assert gs.chemical_potential_j == pytest.approx(mu_si, rel=1e-12,
                                                         abs=0)
-        assert gs.tf_radii_m[0] == pytest.approx(RADIUS_Y, rel=1e-12)
+        assert gs.tf_radii_m[0] == pytest.approx(RADIUS_Y, rel=1e-12, abs=0)
         # nu_z = sqrt(2) nu_y, so R_z = R_y / sqrt(2): the 30/21 um pair.
         assert gs.tf_radii_m[1] == pytest.approx(RADIUS_Y / math.sqrt(2.0),
-                                                 rel=1e-12)
+                                                 rel=1e-12, abs=0)
         assert gs.tf_radii_m[1] == pytest.approx(21.2e-6, rel=5e-3)
 
     def test_isotropic_trap_gives_equal_radii(self, g2d, grid128):
@@ -113,8 +112,10 @@ class TestThomasFermi:
                                  grid128)
         assert b.chemical_potential_j == pytest.approx(
             a.chemical_potential_j, rel=1e-12, abs=0)
-        assert b.tf_radii_m[0] == pytest.approx(a.tf_radii_m[0] / 2, rel=1e-12)
-        assert b.tf_radii_m[1] == pytest.approx(a.tf_radii_m[1] / 2, rel=1e-12)
+        assert b.tf_radii_m[0] == pytest.approx(a.tf_radii_m[0] / 2,
+                                                rel=1e-12, abs=0)
+        assert b.tf_radii_m[1] == pytest.approx(a.tf_radii_m[1] / 2,
+                                                rel=1e-12, abs=0)
 
     def test_bad_inputs_rejected(self, trap, g2d, grid128, units):
         with pytest.raises(SimulationError):
@@ -319,7 +320,7 @@ def reference_relax_ground_state(seed, trap, g2d_j_m2, dt_s=2e-6, tol=1e-9,
     potential = trap.potential_internal(grid)
     stiffest = max(float(potential.max()), float(grid.mesh_ksq.max()))
     if dt <= 0.0 or dt * stiffest >= 0.5:
-        raise StepSizeError(
+        raise ValueError(
             f"imaginary-time step {dt_s} s is unstable here: "
             f"dt * stiffest rate = {dt * stiffest:.3g} >= 0.5")
 

@@ -17,12 +17,13 @@ import scipy.linalg
 
 from ramanvortex import dynamics
 from ramanvortex.condensate import (TrapSpec, g2d_from_tf_radius,
-                                    gaussian_profile, thomas_fermi_profile)
+                                    gaussian_profile, gpe_energy,
+                                    relax_ground_state, thomas_fermi_profile)
 from ramanvortex.dynamics import (PulseSpec, _check_edges, _check_norm,
                                   calibrate_pi_pulse, detuning_ladder,
                                   evolve_free, evolve_pulse, run_sequence)
 from ramanvortex.errors import (CalibrationError, SimulationError,
-                                StepSizeError, TruncationError)
+                                TruncationError)
 from ramanvortex.grid import (MAX_PHASE_PER_STEP, Grid2D, LadderState,
                               TransverseField, bilinear_sample)
 from ramanvortex.imaging import time_of_flight
@@ -47,6 +48,12 @@ def g2d(trap, units):
 def packet_state(grid, trap, n_max=3):
     return LadderState.from_single_order(gaussian_profile(trap, grid).field,
                                          n_max)
+
+
+def pin_step(mp, units, dt_s):
+    """Set the step cap to dt_s: while mp holds, every stage whose phase
+    guard allows dt_s takes it, or just less to fill the stage evenly."""
+    mp.setattr(dynamics, "MAX_INTERNAL_STEP", units.time_to_internal(dt_s))
 
 
 def logged_drift(before, after):
@@ -111,12 +118,13 @@ class TestUniformRabi:
         seg_s = units.time_to_si(t_total_int / n_segments)
         pulse = PulseSpec(uniform_coupling(rate, grid), delta, seg_s,
                           trap_on=False)
-        dt_s = units.time_to_si(dt_int)
         out = []
-        for k in range(n_segments):
-            state = evolve_pulse(state, pulse, trap, 0.0, dt_s)
-            out.append((t_total_int * (k + 1) / n_segments,
-                        state.population(1)))
+        with pytest.MonkeyPatch.context() as mp:
+            pin_step(mp, units, units.time_to_si(dt_int))
+            for k in range(n_segments):
+                state = evolve_pulse(state, pulse, trap, 0.0)
+                out.append((t_total_int * (k + 1) / n_segments,
+                            state.population(1)))
         return out
 
     def test_resonant_populations_follow_sin_squared(self, grid64, trap):
@@ -148,21 +156,23 @@ class TestStrangConsistency:
         coupling = lg_g_coupling(grid128, 2.0e4)
         pulse = PulseSpec(coupling, 4.0, 30e-6)
         coarse = evolve_pulse(state, pulse, trap, g2d)
-        fine = evolve_pulse(state, pulse, trap, g2d,
-                            dt_s=units.time_to_si(0.015))
+        with pytest.MonkeyPatch.context() as mp:
+            pin_step(mp, units, units.time_to_si(0.015))
+            fine = evolve_pulse(state, pulse, trap, g2d)
         diff = coarse.values - fine.values
         l2 = math.sqrt(float(np.sum(np.abs(diff) ** 2) * grid128.cell_area))
         assert l2 < 1e-6
 
-    def test_pulse_splits_into_two_half_pulses(self, grid64, trap, g2d, units):
+    def test_pulse_splits_into_two_half_pulses(self, grid64, trap, g2d, units,
+                                               monkeypatch):
         state = packet_state(grid64, trap)
         coupling = lg_g_coupling(grid64, 3.0e4)
-        dt_s = units.time_to_si(0.04)
+        pin_step(monkeypatch, units, units.time_to_si(0.04))
         whole = evolve_pulse(state, PulseSpec(coupling, 4.0, 40e-6), trap,
-                             g2d, dt_s)
+                             g2d)
         half = PulseSpec(coupling, 4.0, 20e-6)
-        parts = evolve_pulse(evolve_pulse(state, half, trap, g2d, dt_s),
-                             half, trap, g2d, dt_s)
+        parts = evolve_pulse(evolve_pulse(state, half, trap, g2d),
+                             half, trap, g2d)
         assert np.allclose(whole.values, parts.values, atol=1e-10)
 
     def test_pulse_error_is_second_order(self, units, trap, g2d):
@@ -173,8 +183,10 @@ class TestStrangConsistency:
 
         def run(n_steps):
             # a hair above duration / n so that rounding cannot add a step
-            dt_s = pulse.duration_s / n_steps * (1.0 + 1e-9)
-            return evolve_pulse(state, pulse, trap, g2d, dt_s).values
+            with pytest.MonkeyPatch.context() as mp:
+                pin_step(mp, units,
+                         pulse.duration_s / n_steps * (1.0 + 1e-9))
+                return evolve_pulse(state, pulse, trap, g2d).values
 
         reference = run(1280)
         errors = [np.linalg.norm(run(n) - reference) for n in (40, 80, 160)]
@@ -414,6 +426,53 @@ class TestConservation:
                 pulsed.population(n), abs=1e-11)
 
 
+class TestBreathingLaw:
+    """The 2D breathing theorem (Pitaevskii & Rosch, Phys. Rev. A 55, R853
+    (1997)): in an isotropic harmonic trap of angular frequency omega, for
+    any g and from a real initial state of energy E per particle,
+    interaction included,
+
+        <r^2>(t) = 2 E / omega^2 + (<r^2>(0) - 2 E / omega^2) cos 2 omega t
+
+    in recoil units, where the mass is 1/2.  It ties the real-time loop's
+    g to gpe_energy's and the trap's scale to the 2 omega frequency."""
+
+    NU_HZ = 200.0
+    # an eighth of the breathing period pi / omega
+    DELAY_S = 1.0 / (16.0 * NU_HZ)
+
+    def test_quenched_cloud_breathes_at_twice_the_trap_frequency(self,
+                                                                 units):
+        # A relaxed 4.5 um cloud (three oscillator lengths) on 32^2 over
+        # 20 um, its g doubled, through half a breathing period in four
+        # delays.  Measured: at most 6.9e-7 of the breathing amplitude off
+        # the law (at the half period; 3.2e-6 over a whole period).
+        trap = TrapSpec(self.NU_HZ, self.NU_HZ)
+        grid = Grid2D(32, 32, 20e-6, 20e-6, units)
+        g2d = g2d_from_tf_radius(trap, 4.5e-6, units)
+        cloud = relax_ground_state(thomas_fermi_profile(trap, g2d, grid),
+                                   trap, g2d).field
+        quenched = 2.0 * g2d
+        omega = trap.omegas_internal(units)[0]
+        centre = 2.0 * units.energy_to_internal(
+            gpe_energy(cloud, trap, quenched)) / omega**2
+        r_sq = grid.mesh_y**2 + grid.mesh_z**2
+
+        def mean_r_sq(state):
+            dens = state.total_density()
+            return float(np.sum(dens * r_sq) / dens.sum())
+
+        state = LadderState.from_single_order(cloud, 1)
+        amplitude = mean_r_sq(state) - centre
+        # the quench sets the cloud breathing by 45% of its <r^2>
+        assert abs(amplitude) > 0.4 * mean_r_sq(state)
+        for k in range(1, 5):
+            state = evolve_free(state, self.DELAY_S, trap, quenched)
+            t = units.time_to_internal(k * self.DELAY_S)
+            law = centre + amplitude * math.cos(2.0 * omega * t)
+            assert abs(mean_r_sq(state) - law) <= 2e-6 * abs(amplitude)
+
+
 class TestVortexImprint:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_transferred_order_carries_beam_winding(self, grid128, trap, g2d,
@@ -525,19 +584,19 @@ class TestSequence:
 
 class TestResonanceSweep:
     def test_transfer_peaks_at_single_step_resonance(self, grid64, trap,
-                                                     units):
+                                                     units, monkeypatch):
         omega = 0.05
         rate = omega / units.time_s
         duration = units.time_to_si(math.pi / omega)
         state = packet_state(grid64, trap)
         detunings = np.linspace(2.0, 6.0, 9)
         transfers = []
+        pin_step(monkeypatch, units, units.time_to_si(1.5))
         for delta in detunings:
             pulse = PulseSpec(uniform_coupling(rate, grid64), float(delta),
                               duration, trap_on=False)
             transfers.append(
-                evolve_pulse(state, pulse, trap, 0.0,
-                             units.time_to_si(1.5)).population(1))
+                evolve_pulse(state, pulse, trap, 0.0).population(1))
         assert detunings[int(np.argmax(transfers))] == 4.0
         assert max(transfers) > 0.9
         assert transfers[3] == pytest.approx(transfers[5], abs=0.05)
@@ -575,29 +634,24 @@ class TestPulseLog:
         return Grid2D(32, 32, 160e-6, 160e-6, units)
 
     # a tenfold mean field makes the phase guard, not the cap, set dt
-    @pytest.mark.parametrize("g_scale, dt_s, set_by", [
-        (1.0, None, "MAX_INTERNAL_STEP"),
-        (10.0, None, "the phase guard"),
-        (1.0, 1e-7, "the given dt_s"),
+    @pytest.mark.parametrize("g_scale, set_by", [
+        (1.0, "MAX_INTERNAL_STEP"),
+        (10.0, "the phase guard"),
     ])
     def test_logs_steps_phase_drift_and_edges_against_limits(
-            self, grid32, trap, g2d, units, caplog, g_scale, dt_s, set_by):
+            self, grid32, trap, g2d, units, caplog, g_scale, set_by):
         state = packet_state(grid32, trap)
         pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
         g = units.coupling2d_to_internal(g_scale * g2d)
         rate = max(float(trap.potential_internal(grid32).max())
                    + g * float(state.total_density().max()),
                    float(grid32.mesh_ksq.max()))
-        if dt_s is None:
-            dt_limit = min(dynamics.MAX_INTERNAL_STEP,
-                           MAX_PHASE_PER_STEP / rate)
-        else:
-            dt_limit = units.time_to_internal(dt_s)
+        dt_limit = min(dynamics.MAX_INTERNAL_STEP, MAX_PHASE_PER_STEP / rate)
         t_total = units.time_to_internal(pulse.duration_s)
         n_steps = math.ceil(t_total / dt_limit)
         dt = t_total / n_steps
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.dynamics"):
-            out = evolve_pulse(state, pulse, trap, g_scale * g2d, dt_s)
+            out = evolve_pulse(state, pulse, trap, g_scale * g2d)
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
@@ -659,21 +713,18 @@ class TestGuards:
     # mean-field window is valid (it covers the whole flight).
     @pytest.mark.parametrize("entry, bad", [
         (entry, bad) for entry in ("duration", "delay", "detuning", "free",
-                                   "pulse_dt", "tof_time", "tof_window")
+                                   "tof_time", "tof_window")
         for bad in (math.nan, math.inf)
         if (entry, bad) != ("tof_window", math.inf)])
     def test_non_finite_time_rejected(self, grid32, trap, g2d, entry, bad):
         state = packet_state(grid32, trap)
         coupling = uniform_coupling(2.0e4, grid32)
-        pulse = PulseSpec(coupling, 4.0, 1e-5)
         calls = {
             "duration": lambda: PulseSpec(coupling, 4.0, bad),
             "delay": lambda: PulseSpec(coupling, 4.0, 1e-5,
                                        delay_after_s=bad),
             "detuning": lambda: PulseSpec(coupling, bad, 1e-5),
             "free": lambda: evolve_free(state, bad, trap, g2d),
-            "pulse_dt": lambda: evolve_pulse(state, pulse, trap, g2d,
-                                             dt_s=bad),
             "tof_time": lambda: time_of_flight(state, bad, 1e-4, g2d),
             "tof_window": lambda: time_of_flight(state, 1e-3, bad, g2d),
         }
@@ -718,11 +769,12 @@ class TestGuards:
         assert record.getMessage().startswith("delay 1e-05 s: ")
         assert "(limit 1e-09)" in record.getMessage()
 
-    def test_oversized_explicit_dt_rejected(self, grid128, trap):
-        state = packet_state(grid128, trap)
-        pulse = PulseSpec(uniform_coupling(1.0e4, grid128), 4.0, 1e-4)
-        with pytest.raises(StepSizeError):
-            evolve_pulse(state, pulse, trap, 0.0, dt_s=2e-5)
+    def test_pulse_takes_no_step(self, grid32, trap, g2d):
+        # the step follows from the phase guard and MAX_INTERNAL_STEP
+        state = packet_state(grid32, trap)
+        pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
+        with pytest.raises(TypeError, match="dt_s"):
+            evolve_pulse(state, pulse, trap, g2d, dt_s=1e-7)
 
     def test_ladder_edge_population_raises(self, grid64, trap, units):
         state = packet_state(grid64, trap, n_max=2)

@@ -138,8 +138,9 @@ def test_ladder_component_roundtrip_and_copy(grid64, rng):
 def test_padded_grid_keeps_spacing(grid64):
     g = grid64.padded(2.0)
     assert g.n_y == 2 * grid64.n_y
-    assert g.pitch_y_m == pytest.approx(grid64.pitch_y_m, rel=1e-15)
-    assert g.extent_y_m == pytest.approx(2 * grid64.extent_y_m, rel=1e-15)
+    assert g.pitch_y_m == pytest.approx(grid64.pitch_y_m, rel=1e-15, abs=0)
+    assert g.extent_y_m == pytest.approx(2 * grid64.extent_y_m, rel=1e-15,
+                                         abs=0)
     with pytest.raises(ValueError):
         grid64.padded(0.5)
 
@@ -231,18 +232,19 @@ def test_sidecar_readable(tmp_path, grid64, units, rng):
     save_field(f, path, units)
     meta = read_sidecar(path)
     assert int(meta["n_y"]) == grid64.n_y
-    assert float(meta["extent_y_m"]) == pytest.approx(grid64.extent_y_m, rel=1e-15)
+    assert float(meta["extent_y_m"]) == pytest.approx(grid64.extent_y_m, rel=1e-15, abs=0)
 
 
 class TestSplitStepFftCount:
     """The one split-step loop's FFT budget: 2 n + 2 for an n-step pulse
     (half-steps merged between steps), 1 + 2 N + M for an N-step
     relaxation that reads M energies (norm and kinetic energy read from
-    the spectrum, one inverse FFT for each energy read), 2 n + 2 for a
-    time of flight with an n-step mean-field window (free flight applied
-    to the window's last spectrum),
-    plus one forward transform for the orders the window skips.  Each call
-    is recorded as (name, dtype, shape) of the array it is given."""
+    the spectrum, one inverse FFT for each energy read), 2 n + 3 for a
+    time of flight with an n-step mean-field window on the padded grid
+    (the in-trap transform its high-k share is read from, then free flight
+    applied to the window's last spectrum), plus one forward transform
+    for the orders the window skips.  Each call is recorded as (name,
+    dtype, shape) of the array it is given."""
 
     @pytest.fixture()
     def fft_calls(self, monkeypatch):
@@ -311,7 +313,7 @@ class TestSplitStepFftCount:
         with the given rows empty; returns the window's step count.  With
         resolved, the cloud is a Gaussian of 2.5 pitches at the g of a
         20 um cloud instead, whose window runs on the in-trap grid (high-k
-        share 2.3e-7, in-trap boundary mass 1.1-1.6e-14)."""
+        share 2.8e-7, in-trap boundary mass 1.1-1.6e-14)."""
         g2d = g2d_from_tf_radius(trap, 30e-6, units)
         cloud = thomas_fermi_profile(trap, g2d, grid32).field.values
         if resolved:
@@ -333,25 +335,28 @@ class TestSplitStepFftCount:
         return n_steps
 
     @pytest.mark.parametrize("pruned", [False, True])
-    def test_time_of_flight_costs_2n_plus_2(self, grid32, trap, units,
+    def test_time_of_flight_costs_2n_plus_3(self, grid32, trap, units,
                                             fft_calls, caplog, pruned):
+        # the in-trap transform the switch reads, then the padded window
         n_steps = self.fly(grid32, trap, units, caplog, [0] if pruned else [])
-        assert len(fft_calls) == 2 * n_steps + 2 + pruned
+        assert len(fft_calls) == 2 * n_steps + 3 + pruned
+        assert [shape[-2:] for _, _, shape in fft_calls] == (
+            [(32, 32)] + [(64, 64)] * (2 * n_steps + 2 + pruned))
 
-    def test_time_of_flight_pruned_at_both_ends_costs_2n_plus_4(
+    def test_time_of_flight_pruned_at_both_ends_costs_2n_plus_5(
             self, grid32, trap, units, fft_calls, caplog):
         # each pruned block at an end of the ladder is one forward call
         n_steps = self.fly(grid32, trap, units, caplog, [0, 2])
-        assert len(fft_calls) == 2 * n_steps + 4
+        assert len(fft_calls) == 2 * n_steps + 5
 
     @pytest.mark.parametrize("empty_rows", [[], [0], [0, 2]])
-    def test_time_of_flight_on_the_in_trap_grid_costs_2n_plus_5(
+    def test_time_of_flight_on_the_in_trap_grid_costs_2n_plus_4(
             self, grid32, trap, units, fft_calls, caplog, empty_rows):
-        # the padded transform the switch reads, the window's 2n + 1 and
+        # the window's 2n + 1, the first of which the switch reads, and
         # its inverse on the in-trap grid, then one forward call for every
         # row, pruned or not, and the inverse on the padded grid
         n_steps = self.fly(grid32, trap, units, caplog, empty_rows,
                            resolved=True)
-        assert len(fft_calls) == 2 * n_steps + 5
+        assert len(fft_calls) == 2 * n_steps + 4
         assert [shape[-2:] for _, _, shape in fft_calls] == (
-            [(64, 64)] + [(32, 32)] * (2 * n_steps + 2) + [(64, 64)] * 2)
+            [(32, 32)] * (2 * n_steps + 2) + [(64, 64)] * 2)

@@ -46,6 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from ramanvortex import dynamics
 from ramanvortex.condensate import TrapSpec, g2d_from_tf_radius
 from ramanvortex.dynamics import (PulseSpec, detuning_ladder, evolve_free,
                                   evolve_pulse)
@@ -55,7 +56,8 @@ from ramanvortex.optics import (BeamSpec, CouplingMap, coupling_map,
 
 N_MAX = 4
 DURATION_S = 20e-6
-# a given pulse step, so that forward and back take the same steps
+# a pinned pulse step (MAX_INTERNAL_STEP), so that forward and back take
+# the same steps
 DT_S = 1.5e-7
 TOLERANCE = 1e-12
 TRAP = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
@@ -206,11 +208,15 @@ def test_pulse_echoes_under_time_reversal(grids, g2d, n, rate, delta, phi,
                                           w):
     state = packet(grids[n], w)
     coupling = vortex_coupling(grids[n], rate, phi)
-    out = evolve_pulse(state, PulseSpec(coupling, delta, DURATION_S),
-                       TRAP, g2d, dt_s=DT_S)
-    back = evolve_pulse(reversed_state(out),
-                        PulseSpec(conjugate(coupling), delta, DURATION_S),
-                        TRAP, g2d, dt_s=DT_S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MAX_INTERNAL_STEP",
+                   grids[n].units.time_to_internal(DT_S))
+        out = evolve_pulse(state, PulseSpec(coupling, delta, DURATION_S),
+                           TRAP, g2d)
+        back = evolve_pulse(reversed_state(out),
+                            PulseSpec(conjugate(coupling), delta,
+                                      DURATION_S),
+                            TRAP, g2d)
     assert distance(out, state.values) > 0.1
     assert distance(back, np.conj(state.values)) <= TOLERANCE
 

@@ -179,7 +179,7 @@ class TestSplitStepLoop:
         g = units.coupling2d_to_internal(g2d)
         n_steps, dt, _, _ = _resolve_steps(
             grid64, float(state.total_density().max()), potential, g,
-            units.time_to_internal(1e-5), None)
+            units.time_to_internal(1e-5))
         assert n_steps > 2
         ladder = _LadderPropagator(coupling, detuning_ladder(4.0, 3), 3, dt,
                                    units)
@@ -198,7 +198,7 @@ class TestSplitStepLoop:
         g = units.coupling2d_to_internal(g2d)
         n_steps, dt, _, _ = _resolve_steps(
             grid32, float(state.total_density().max()), potential, g,
-            units.time_to_internal(2e-5), None)
+            units.time_to_internal(2e-5))
         assert n_steps > 2
         expected = reference_strang_evolve(state.values, grid32.mesh_ksq, dt,
                                            n_steps, g, potential)

@@ -27,7 +27,7 @@ def sodium_units():
 
 def test_recoil_frequency_matches_direct_arithmetic(sodium_units):
     assert sodium_units.recoil_frequency_hz == pytest.approx(NU_R_SODIUM_HZ, rel=1e-12)
-    assert sodium_units.energy_j == pytest.approx(E_R_SODIUM_J, rel=1e-12)
+    assert sodium_units.energy_j == pytest.approx(E_R_SODIUM_J, rel=1e-12, abs=0)
     assert sodium_units.wavenumber_per_m == pytest.approx(K_SODIUM_PER_M, rel=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_four_recoils_is_about_100_khz(sodium_units):
 def test_unit_relations(sodium_units):
     u = sodium_units
     # hbar = time unit * energy unit
-    assert u.time_s * u.energy_j == pytest.approx(1.054571817e-34, rel=1e-9)
+    assert u.time_s * u.energy_j == pytest.approx(1.054571817e-34, rel=1e-9, abs=0)
     # length unit is 1/k
     assert u.length_m * u.wavenumber_per_m == pytest.approx(1.0, rel=1e-15)
     assert u.energy_to_internal(u.energy_j) == pytest.approx(1.0, rel=1e-15)
@@ -48,21 +48,21 @@ def test_unit_relations(sodium_units):
 @pytest.mark.parametrize("value", [1.0e-6, 3.3333e-4, 589.0e-9, 42.0])
 def test_length_round_trip_exact(sodium_units, value):
     u = sodium_units
-    assert u.length_to_si(u.length_to_internal(value)) == pytest.approx(value, rel=1e-14)
-    assert u.length_to_internal(u.length_to_si(value)) == pytest.approx(value, rel=1e-14)
+    assert u.length_to_si(u.length_to_internal(value)) == pytest.approx(value, rel=1e-14, abs=0)
+    assert u.length_to_internal(u.length_to_si(value)) == pytest.approx(value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("value", [1.3e-4, 6.0e-3, 130.0e-6])
 def test_time_round_trip_exact(sodium_units, value):
     u = sodium_units
-    assert u.time_to_si(u.time_to_internal(value)) == pytest.approx(value, rel=1e-14)
+    assert u.time_to_si(u.time_to_internal(value)) == pytest.approx(value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("value", [2.1e4, 1.0, 7.7e5])
 def test_rate_and_coupling_round_trips(sodium_units, value):
     u = sodium_units
-    assert u.rate_to_si(u.rate_to_internal(value)) == pytest.approx(value, rel=1e-14)
-    assert u.coupling2d_to_si(u.coupling2d_to_internal(value)) == pytest.approx(value, rel=1e-14)
+    assert u.rate_to_si(u.rate_to_internal(value)) == pytest.approx(value, rel=1e-14, abs=0)
+    assert u.coupling2d_to_si(u.coupling2d_to_internal(value)) == pytest.approx(value, rel=1e-14, abs=0)
 
 
 def test_trap_omega_internal_equals_frequency_ratio(sodium_units):
