@@ -633,13 +633,20 @@ class TestPulseLog:
     def grid32(self, units):
         return Grid2D(32, 32, 160e-6, 160e-6, units)
 
-    # a tenfold mean field makes the phase guard, not the cap, set dt
-    @pytest.mark.parametrize("g_scale, set_by", [
-        (1.0, "MAX_INTERNAL_STEP"),
-        (10.0, "the phase guard"),
+    # a tenfold mean field makes the phase guard, not the cap, set dt; a
+    # cap pinned below the guard sets dt, and one pinned far above it
+    # leaves dt to the guard
+    @pytest.mark.parametrize("g_scale, cap_s, set_by", [
+        (1.0, None, "MAX_INTERNAL_STEP"),
+        (10.0, None, "the phase guard"),
+        (1.0, 1e-7, "MAX_INTERNAL_STEP"),
+        (1.0, 1e-3, "the phase guard"),
     ])
     def test_logs_steps_phase_drift_and_edges_against_limits(
-            self, grid32, trap, g2d, units, caplog, g_scale, set_by):
+            self, grid32, trap, g2d, units, caplog, monkeypatch, g_scale,
+            cap_s, set_by):
+        if cap_s is not None:
+            pin_step(monkeypatch, units, cap_s)
         state = packet_state(grid32, trap)
         pulse = PulseSpec(uniform_coupling(2.0e4, grid32), 4.0, 1e-5)
         g = units.coupling2d_to_internal(g_scale * g2d)
