@@ -490,10 +490,10 @@ class ExperimentConfig:
         return make_recoil_units(PhysicalParams(atom["mass_kg"],
                                                 atom["wavelength_m"]))
 
-    def make_grid(self, units: UnitSystem | None = None) -> Grid2D:
+    def make_grid(self) -> Grid2D:
         g = self.data["grid"]
         return Grid2D(g["points_y"], g["points_z"], g["extent_y_m"],
-                      g["extent_z_m"], units or self.units())
+                      g["extent_z_m"], self.units())
 
     def trap(self) -> TrapSpec:
         t = self.data["trap"]

@@ -117,8 +117,7 @@ class TransverseField:
 
     values has shape (n_z, n_y).  For atomic fields the normalization
     convention is sum |psi|^2 * cell_area = 1 (a unit fraction); optical
-    mode fields are unit-peak instead.  values is stored read-only; every
-    operation returns a new field.
+    mode fields are unit-peak instead.  values is stored read-only.
     """
 
     grid: Grid2D
@@ -133,18 +132,6 @@ class TransverseField:
             vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
-    def norm(self) -> float:
-        return float(np.sum(self.density()) * self.grid.cell_area)
-
-    def normalized(self) -> "TransverseField":
-        n = self.norm()
-        if not 0.0 < n < math.inf:
-            raise SimulationError(f"cannot normalize a field of norm {n}")
-        return TransverseField(self.grid, self.values / math.sqrt(n))
 
 
 class LadderState:
@@ -196,10 +183,6 @@ class LadderState:
 
     def component(self, n: int) -> TransverseField:
         return TransverseField(self.grid, self.values[self.index(n)])
-
-    def copy(self) -> "LadderState":
-        return LadderState(self.grid, self.n_max, self.values.copy(),
-                           self.axial_shift_m)
 
     def total_density(self) -> np.ndarray:
         return _density(self.values)
@@ -352,20 +335,6 @@ def _strang_steps(values: np.ndarray, ksq: np.ndarray, tau: complex | float,
         spec *= full
 
 
-def _strang_spectrum(values: np.ndarray, ksq: np.ndarray, dt: float,
-                     n_steps: int, g: float,
-                     potential: np.ndarray | None = None,
-                     ladder=None) -> np.ndarray:
-    """n_steps real-time Strang steps (_strang_steps with tau = i dt),
-    ended in momentum space: returns the spectrum of the evolved stack.
-    Costs 2 n_steps + 1 FFTs.  values is consumed: the spectrum is
-    computed in its buffer."""
-    steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
-    del values
-    next(steps)
-    return _strang_finish(steps, n_steps)
-
-
 def _strang_finish(steps, n_steps: int) -> np.ndarray:
     """Runs a _strang_steps generator whose first yield was taken through
     n_steps >= 1 steps and ends in momentum space: returns the spectrum.
@@ -393,10 +362,18 @@ def _high_k_share(spec: np.ndarray, grid: Grid2D) -> float:
 def _strang_evolve(values: np.ndarray, ksq: np.ndarray, dt: float,
                    n_steps: int, g: float, potential: np.ndarray | None = None,
                    ladder=None) -> np.ndarray:
-    """_strang_spectrum transformed back: the loop of pulses and delays.
-    Costs 2 n_steps + 2 FFTs.  values is consumed, as in _strang_steps."""
-    return _ifft2_stack(_strang_spectrum(values, ksq, dt, n_steps, g,
-                                         potential, ladder))
+    """n_steps real-time Strang steps (_strang_steps with tau = i dt),
+    transformed back: the loop of pulses and delays.  Costs 2 n_steps + 2
+    FFTs.  values is consumed, as in _strang_steps: the result is
+    computed in its buffer."""
+    steps = _strang_steps(values, ksq, 1j * dt, g, potential, ladder)
+    del values
+    next(steps)
+    spec = _strang_finish(steps, n_steps)
+    # the generator's planes (and a pulse's ladder) go before the last
+    # transform
+    del steps
+    return _ifft2_stack(spec)
 
 
 def _axial_phase(values: np.ndarray, t: float) -> None:

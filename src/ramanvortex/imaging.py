@@ -23,7 +23,7 @@ from .errors import GridOverflowError, SimulationError
 from .grid import (Grid2D, LadderState, bilinear_sample, read_sidecar,
                    sidecar_number, write_sidecar, _axial_phase, _density,
                    _fft2_stack, _free_flight, _high_k_share, _ifft2_stack,
-                   _strang_finish, _strang_spectrum, _strang_steps)
+                   _strang_finish, _strang_steps)
 
 logger = logging.getLogger(__name__)
 
@@ -314,7 +314,10 @@ def time_of_flight(state: LadderState, t_s: float, meanfield_window_s: float,
         del steps
         if window_grid is padded:
             # in place on the window's rows of the padded stack
-            _strang_spectrum(values[lo:hi], padded.mesh_ksq, dt, n_steps, g)
+            steps = _strang_steps(values[lo:hi], padded.mesh_ksq, 1j * dt, g)
+            next(steps)
+            _strang_finish(steps, n_steps)
+            del steps
         flight[lo:hi] -= t_window
     if t > 0.0:
         # the rows in position space join the spectrum, each block in place

@@ -168,8 +168,8 @@ class _Context:
 
 
 def _prepare(cfg: ExperimentConfig) -> _Context:
-    units = cfg.units()
-    grid = cfg.make_grid(units)
+    grid = cfg.make_grid()
+    units = grid.units
     trap = cfg.trap()
     g2d = cfg.g2d_j_m2(units)
     logger.info("preparing %s ground state on %dx%d grid",

@@ -62,13 +62,6 @@ class UnitSystem:
     recoil_frequency_hz: float
     mass_kg: float
 
-    # Lengths
-    def length_to_internal(self, x_m: float) -> float:
-        return x_m / self.length_m
-
-    def length_to_si(self, x: float) -> float:
-        return x * self.length_m
-
     # Times
     def time_to_internal(self, t_s: float) -> float:
         return t_s / self.time_s
@@ -77,22 +70,12 @@ class UnitSystem:
         return t * self.time_s
 
     # Energies
-    def energy_to_internal(self, e_j: float) -> float:
-        return e_j / self.energy_j
-
     def energy_to_si(self, e: float) -> float:
         return e * self.energy_j
-
-    # Frequencies (Hz) to multiples of the recoil frequency
-    def frequency_to_recoils(self, nu_hz: float) -> float:
-        return nu_hz / self.recoil_frequency_hz
 
     # Angular rates (rad/s) to phase per internal time
     def rate_to_internal(self, omega_rad_s: float) -> float:
         return omega_rad_s * self.time_s
-
-    def rate_to_si(self, omega: float) -> float:
-        return omega / self.time_s
 
     # 2D interaction coupling (J m^2) to recoil units (E_r / k^2)
     def coupling2d_to_internal(self, g_j_m2: float) -> float:

@@ -27,6 +27,7 @@ from ramanvortex.condensate import (GroundState, TrapSpec, _tf_radii_m,
                                     thomas_fermi_profile)
 from ramanvortex.grid import (Grid2D, TransverseField, _fft2_stack,
                               _ifft2_stack)
+from test_grid import field_norm, normalized
 
 NU_Y = 40.0 / math.sqrt(2.0)
 NU_Z = 40.0
@@ -94,15 +95,15 @@ class TestThomasFermi:
         # The stated mu must normalize the continuum inverted parabola;
         # checked by direct quadrature before any renormalization.
         g = units.coupling2d_to_internal(g2d)
-        mu = units.energy_to_internal(
-            thomas_fermi_profile(trap, g2d, grid128).chemical_potential_j)
+        mu = (thomas_fermi_profile(trap, g2d, grid128).chemical_potential_j
+              / units.energy_j)
         density = np.maximum(0.0, mu - trap.potential_internal(grid128)) / g
         assert np.sum(density) * grid128.cell_area == pytest.approx(
             1.0, rel=2e-3)
 
     def test_grid_field_is_unit_norm(self, trap, g2d, grid128):
         gs = thomas_fermi_profile(trap, g2d, grid128)
-        assert gs.field.norm() == pytest.approx(1.0, abs=1e-12)
+        assert field_norm(gs.field) == pytest.approx(1.0, abs=1e-12)
 
     def test_radii_shrink_inversely_with_frequency_at_fixed_mu(self, trap,
                                                                g2d, grid128):
@@ -137,8 +138,8 @@ class TestGaussianSeed:
         assert gs.chemical_potential_j == pytest.approx(e0, rel=1e-12, abs=0)
 
     def test_unit_norm(self, trap, grid128):
-        assert gaussian_profile(trap, grid128).field.norm() == pytest.approx(
-            1.0, abs=1e-12)
+        field = gaussian_profile(trap, grid128).field
+        assert field_norm(field) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRelaxation:
@@ -170,7 +171,7 @@ class TestRelaxation:
         analytic = thomas_fermi_profile(trap, g2d, grid128)
         assert relaxed.chemical_potential_j == pytest.approx(
             analytic.chemical_potential_j, rel=0.05, abs=0)
-        assert relaxed.field.norm() == pytest.approx(1.0, abs=1e-9)
+        assert field_norm(relaxed.field) == pytest.approx(1.0, abs=1e-9)
 
     def test_relaxed_energy_below_seed(self, relaxed, trap, g2d, grid128):
         seed = thomas_fermi_profile(trap, g2d, grid128)
@@ -405,8 +406,8 @@ class TestRelaxationMatchesReference:
         # charge 1 with a linear core: (y + i z) times the Thomas-Fermi
         # amplitude, so the field has two real rows
         tf = thomas_fermi_profile(trap, g2d, grid64).field.values
-        field = TransverseField(
-            grid64, tf * (grid64.mesh_y + 1j * grid64.mesh_z)).normalized()
+        field = normalized(TransverseField(
+            grid64, tf * (grid64.mesh_y + 1j * grid64.mesh_z)))
         g = units.coupling2d_to_internal(g2d)
         e_kin, e_pot, e_int2 = _reference_split_energies(
             field.values, trap.potential_internal(grid64), g, grid64)

@@ -234,8 +234,9 @@ class TestMaterialization:
 
     def test_grid_trap_and_interaction(self):
         cfg = self.make_config()
-        units = cfg.units()
-        grid = cfg.make_grid(units)
+        grid = cfg.make_grid()
+        units = grid.units
+        assert units == cfg.units()
         assert (grid.n_y, grid.n_z) == (64, 64)
         expected = g2d_from_tf_radius(cfg.trap(), 30e-6, units)
         assert cfg.g2d_j_m2(units) == pytest.approx(expected)

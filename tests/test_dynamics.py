@@ -454,8 +454,8 @@ class TestBreathingLaw:
                                    trap, g2d).field
         quenched = 2.0 * g2d
         omega = trap.omegas_internal(units)[0]
-        centre = 2.0 * units.energy_to_internal(
-            gpe_energy(cloud, trap, quenched)) / omega**2
+        centre = (2.0 * (gpe_energy(cloud, trap, quenched) / units.energy_j)
+                  / omega**2)
         r_sq = grid.mesh_y**2 + grid.mesh_z**2
 
         def mean_r_sq(state):

@@ -21,10 +21,20 @@ from ramanvortex.grid import (Grid2D, TransverseField, LadderState, save_field,
 from ramanvortex.optics import uniform_coupling
 
 
+def field_norm(field: TransverseField) -> float:
+    """sum |psi|^2 * cell_area, the atomic fields' norm."""
+    return float(np.sum(np.abs(field.values) ** 2) * field.grid.cell_area)
+
+
+def normalized(field: TransverseField) -> TransverseField:
+    """field scaled to unit norm."""
+    return TransverseField(field.grid,
+                           field.values / math.sqrt(field_norm(field)))
+
+
 def random_normalized_field(grid, rng):
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = TransverseField(grid, vals)
-    return f.normalized()
+    return normalized(TransverseField(grid, vals))
 
 
 def test_grid_requires_power_of_two(units):
@@ -114,7 +124,7 @@ def test_field_values_read_only(grid64, rng):
 
 def test_field_norm_scalar_and_ladder(grid64, rng):
     f = random_normalized_field(grid64, rng)
-    assert f.norm() == pytest.approx(1.0, rel=1e-12)
+    assert field_norm(f) == pytest.approx(1.0, rel=1e-12)
 
     state = LadderState.from_single_order(f, n_max=2)
     pops = {n: state.population(n) for n in state.orders}
@@ -124,12 +134,10 @@ def test_field_norm_scalar_and_ladder(grid64, rng):
     assert pops[1] == 0.0
 
 
-def test_ladder_component_roundtrip_and_copy(grid64, rng):
+def test_ladder_component_roundtrip(grid64, rng):
     f = random_normalized_field(grid64, rng)
     state = LadderState.from_single_order(f, n_max=1, order=1)
     assert np.array_equal(state.component(1).values, f.values)
-    dup = state.copy()
-    dup.values[0] += 1.0
     assert state.population(-1) == 0.0
     with pytest.raises(SimulationError):
         state.component(2)

@@ -67,7 +67,6 @@ def _field(units, value=1.0):
 # each calls one function on a single bad value x; none may end in the
 # bare ValueError of converting NaN to an index
 CALLS = {
-    "normalize_field": lambda x, units: _field(units, x).normalized(),
     "bilinear_point": lambda x, units: bilinear_sample(
         np.ones((4, 4)), np.arange(4.0), np.arange(4.0), [x], [1.0]),
     "vortex_loop_radius": lambda x, units: vortex_report(_field(units), x),

@@ -343,6 +343,9 @@ class TestTimeOfFlight:
         ctx = scenarios._prepare(cfg)
         state, _ = run_sequence(ctx.initial_state(), cfg.pulses(ctx.grid),
                                 ctx.trap, ctx.g2d_j_m2)
+        # only the flight's record: with the root logger at DEBUG the
+        # pulse's records are captured too
+        caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.imaging"):
             pruned = np.abs(ctx.expand(state).values) ** 2
         (record,) = caplog.records

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -63,6 +63,9 @@ TOLERANCE = 1e-12
 TRAP = TrapSpec(40.0 / math.sqrt(2.0), 40.0)
 ISOTROPIC_TRAP = TrapSpec(40.0, 40.0)
 
+# Each property also takes a fixed @seed, which wins over derandomize:
+# derandomize alone seeds a test from a hash of its source, so an edit to
+# its body would swap every example it checks.
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None,
                              derandomize=True, database=None)
 
@@ -146,6 +149,7 @@ def order_phases(n_max, phi) -> np.ndarray:
 
 
 @PROPERTY_SETTINGS
+@seed(1)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_pulse_conserves_norm(grids, g2d, n, rate, delta, phi, w):
     state = packet(grids[n], w)
@@ -158,6 +162,7 @@ def test_pulse_conserves_norm(grids, g2d, n, rate, delta, phi, w):
 
 
 @PROPERTY_SETTINGS
+@seed(2)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_coupling_phase_is_carried_by_the_orders(grids, g2d, n, rate,
                                                  delta, phi, w):
@@ -173,6 +178,7 @@ def test_coupling_phase_is_carried_by_the_orders(grids, g2d, n, rate,
 
 
 @PROPERTY_SETTINGS
+@seed(3)
 @given(n=points, phi=phases, w=weights, trap_on=st.booleans())
 def test_free_evolution_keeps_order_phases(grids, g2d, n, phi, w, trap_on):
     grid = grids[n]
@@ -186,6 +192,7 @@ def test_free_evolution_keeps_order_phases(grids, g2d, n, phi, w, trap_on):
 
 
 @PROPERTY_SETTINGS
+@seed(4)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_detuning_sign_flip_mirrors_the_ladder(grids, g2d, n, rate, delta,
                                                phi, w):
@@ -203,6 +210,7 @@ def test_detuning_sign_flip_mirrors_the_ladder(grids, g2d, n, rate, delta,
 
 
 @PROPERTY_SETTINGS
+@seed(5)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_pulse_echoes_under_time_reversal(grids, g2d, n, rate, delta, phi,
                                           w):
@@ -222,6 +230,7 @@ def test_pulse_echoes_under_time_reversal(grids, g2d, n, rate, delta, phi,
 
 
 @PROPERTY_SETTINGS
+@seed(6)
 @given(n=points, w=weights, trap_on=st.booleans())
 def test_delay_echoes_under_time_reversal(grids, g2d, n, w, trap_on):
     state = packet(grids[n], w)
@@ -233,6 +242,7 @@ def test_delay_echoes_under_time_reversal(grids, g2d, n, w, trap_on):
 
 
 @PROPERTY_SETTINGS
+@seed(7)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_mirror_maps_the_pulse_to_the_opposite_winding(grids, g2d, n, rate,
                                                        delta, phi, w):
@@ -250,6 +260,7 @@ def test_mirror_maps_the_pulse_to_the_opposite_winding(grids, g2d, n, rate,
 
 
 @PROPERTY_SETTINGS
+@seed(8)
 @given(n=points, rate=rates, delta=detunings, phi=phases, w=weights)
 def test_quarter_turn_of_state_and_coupling_turns_the_pulse(grids, g2d, n,
                                                             rate, delta, phi,
@@ -268,6 +279,7 @@ def test_quarter_turn_of_state_and_coupling_turns_the_pulse(grids, g2d, n,
 
 
 @PROPERTY_SETTINGS
+@seed(9)
 @given(n=points, rate=rates, delta=detunings, phi=phases,
        offset=st.floats(0.0, 1.0))
 def test_uniform_drive_factorises(grids, g2d, n, rate, delta, phi, offset):

@@ -128,6 +128,9 @@ class TestStartRecord:
                        imaging={"time_of_flight_s": 0.0})
         quiet = run_scenario(config)
         config["output_dir"] = str(tmp_path / "logged")
+        # with the root logger at DEBUG the quiet run's record is captured
+        # too
+        caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="ramanvortex.scenarios"):
             logged = run_scenario(config)
         (message,) = [r.getMessage() for r in caplog.records

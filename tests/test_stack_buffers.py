@@ -59,8 +59,8 @@ def reference_strang_steps(values, ksq, tau, g, potential=None, ladder=None):
         spec *= full
 
 
-def reference_strang_spectrum(values, ksq, dt, n_steps, g, potential=None,
-                              ladder=None):
+def reference_spectrum(values, ksq, dt, n_steps, g, potential=None,
+                       ladder=None):
     steps = reference_strang_steps(values, ksq, 1j * dt, g, potential, ladder)
     for _ in range(n_steps):
         next(steps)
@@ -71,8 +71,8 @@ def reference_strang_spectrum(values, ksq, dt, n_steps, g, potential=None,
 
 def reference_strang_evolve(values, ksq, dt, n_steps, g, potential=None,
                             ladder=None):
-    return _ifft2_stack(reference_strang_spectrum(values, ksq, dt, n_steps,
-                                                  g, potential, ladder))
+    return _ifft2_stack(reference_spectrum(values, ksq, dt, n_steps, g,
+                                           potential, ladder))
 
 
 def reference_time_of_flight(state, t_s, meanfield_window_s, g2d_j_m2,
@@ -114,8 +114,8 @@ def reference_time_of_flight(state, t_s, meanfield_window_s, g2d_j_m2,
         n_steps = max(1, math.ceil(t_window * rate
                                    / imaging.WINDOW_PHASE_PER_STEP))
         dt = t_window / n_steps
-        spec = reference_strang_spectrum(values[active], padded.mesh_ksq, dt,
-                                         n_steps, g)
+        spec = reference_spectrum(values[active], padded.mesh_ksq, dt,
+                                  n_steps, g)
         flight[active] -= t_window
         if pruned.size:
             values[pruned] = _fft2_stack(values[pruned])
