@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ramanvortex.grid import Grid2D
 from ramanvortex.units import (PhysicalParams, make_recoil_units,
                                SODIUM_MASS_KG, SODIUM_WAVELENGTH_M)
 
@@ -41,6 +42,17 @@ def test_unit_relations(sodium_units):
     assert u.time_s * u.energy_j == pytest.approx(1.054571817e-34, rel=1e-9, abs=0)
     # length unit is 1/k
     assert u.length_m * u.wavenumber_per_m == pytest.approx(1.0, rel=1e-15)
+
+
+# lengths convert by plain scaling with length_m; a grid's internal axes
+# scaled back by it give its SI axes, and its SI pitch scaled by k gives dy
+@pytest.mark.parametrize("value", [1.0e-6, 3.3333e-4, 589.0e-9, 42.0])
+def test_length_round_trip_exact(sodium_units, value):
+    u = sodium_units
+    grid = Grid2D(32, 32, value, value, u)
+    assert grid.dy * u.length_m == pytest.approx(value / 32, rel=1e-14, abs=0)
+    assert grid.pitch_y_m * u.wavenumber_per_m == pytest.approx(grid.dy, rel=1e-14, abs=0)
+    assert grid.y[0] * u.length_m == pytest.approx(-value / 2, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("value", [1.3e-4, 6.0e-3, 130.0e-6])
